@@ -97,34 +97,6 @@ COUNTED = [
     ("linalg", "PMatrix.__init__", "pmatrix"),
 ]
 
-# per-layer metric -> (unit, better); the README maps each to the
-# end-to-end metric it should move
-PER_LAYER = {
-    "padic.val.calls": ("count", "lower"),
-    "linalg.pmatrix.calls": ("count", "lower"),
-    "linalg.matmul.calls": ("count", "lower"),
-    "linalg.span.calls": ("count", "lower"),
-    "linalg.order_exp.calls": ("count", "lower"),
-    "linalg.self_ms": ("ms", "lower"),
-    "lattice.bracket.calls": ("count", "lower"),
-    "lattice.bracket_span.calls": ("count", "lower"),
-    "lattice.self_ms": ("ms", "lower"),
-    "bch.mul.calls": ("count", "lower"),
-    "bch.class.calls": ("count", "lower"),
-    "bch.self_ms": ("ms", "lower"),
-    "propgroup.twist.calls": ("count", "lower"),
-    "propgroup.twist.hit_ratio": ("ratio", "higher"),
-    "propgroup.pow.calls": ("count", "lower"),
-    "propgroup.subgroup.calls": ("count", "lower"),
-    "propgroup.fiber_intersection.calls": ("count", "lower"),
-    "propgroup.self_ms": ("ms", "lower"),
-    "classifier.classify.calls": ("count", "lower"),
-    "classifier.self_ms": ("ms", "lower"),
-    "catalog.iso.calls": ("count", "lower"),
-    "catalog.action_matrix.calls": ("count", "lower"),
-    "catalog.self_ms": ("ms", "lower"),
-}
-
 
 def _resolve(module, qualname):
     owner = module
@@ -217,6 +189,7 @@ class Tracer:
     # -- results -------------------------------------------------------------
 
     def metrics(self) -> dict:
+        """The per-layer metrics listed in BENCHMARK.json, except `trace.slowdown`."""
         names = self.names
         n = len(self.span_name)
         child = [0] * n
@@ -262,7 +235,7 @@ class Tracer:
         }
         for layer in ("linalg", "lattice", "bch", "propgroup", "classifier", "catalog"):
             values[f"{layer}.self_ms"] = self_ns[layer] / 1e6
-        return {name: values[name] for name in PER_LAYER}
+        return values
 
     def write(self, stem: str, header: dict):
         """`<stem>.json` holds the header and the span names; `<stem>.spans` the spans.

@@ -4,7 +4,7 @@
 
 `setup` stops after building the inputs; `run` times every operation;
 `trace` does the same with the span tracer active during the timed phase and
-writes the trace under `--trace-out`.  The last line of standard output is
+writes the trace under `--trace-out`, which trace mode requires.  The last line of standard output is
 one JSON object with the measurements.  `bench/run.py` starts this script;
 run it directly only to look at one process.
 """
@@ -46,6 +46,8 @@ def main(argv=None) -> int:
     ap.add_argument("--mode", choices=("setup", "run", "trace"), required=True)
     ap.add_argument("--trace-out", help="file stem for the trace (trace mode)")
     args = ap.parse_args(argv)
+    if args.mode == "trace" and not args.trace_out:
+        ap.error("--mode trace needs --trace-out")
 
     tracer = None
     if args.mode == "trace":
@@ -111,8 +113,7 @@ def main(argv=None) -> int:
     }
     if tracer is not None:
         out["per_layer"] = tracer.metrics()
-        if args.trace_out:
-            tracer.write(args.trace_out, {k: out[k] for k in ("workload", "seed", "rounds", "cpu_s")})
+        tracer.write(args.trace_out, {k: out[k] for k in ("workload", "seed", "rounds", "cpu_s")})
     print(json.dumps(out))
     return 0
 

@@ -254,6 +254,16 @@ class SplitLaw:
     def identity(self):
         return GroupElement(0, (0,) * self.n)
 
+    def pow(self, g, k):
+        """g^k for k >= 0, by square-and-multiply over `mul`."""
+        out, base = self.identity(), g
+        while k:
+            if k & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            k >>= 1
+        return out
+
 
 def _bracket_from_constants(L, u, v):
     mod, d = L.ctx.modulus, L.dim
@@ -364,7 +374,7 @@ def group_law(rng, rounds) -> Plan:
                         problems.append(f"word {word} = {out}, expected {expect}")
                 else:
                     _, t, role = tag[1:]
-                    powers.setdefault(t, (g, {}))[1][role] = out
+                    powers.setdefault(t, (g, {}))[1][role] = (args, out)
             elif kind == "bch2":
                 L = tag[1]
                 u, v = args[1], args[2]
@@ -384,7 +394,13 @@ def group_law(rng, rounds) -> Plan:
                 if any(bch_mul(L, u, neg)):
                     problems.append(f"u * (-u) != 0 for u = {u}")
         for t, (g, got) in powers.items():
-            if len(got) == 3 and laws[id(g)].mul(got["k"], got["l"]) != got["kl"]:
+            if len(got) != 3:
+                continue
+            law = laws[id(g)]
+            (x, k), xk = got["k"]
+            if xk != law.pow(x, k):
+                problems.append(f"x^k = {xk} for x = {x}, k = {k}, expected {law.pow(x, k)}")
+            if law.mul(xk, got["l"][1]) != got["kl"][1]:
                 problems.append(f"x^k x^l != x^(k+l) in power triple {t}")
         return problems
 
