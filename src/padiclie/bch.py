@@ -344,19 +344,17 @@ def free_nilpotent_lattice(ctx, nil_class: int) -> Lattice:
 # the group law on nilpotent lattices of class < p
 # ---------------------------------------------------------------------------
 
-_class_memo: dict[int, tuple[Lattice, int]] = {}
-
-
 def nilpotency_class_checked(L: Lattice) -> int:
-    """Nilpotency class at precision, raising ClassTooLarge when >= p."""
-    entry = _class_memo.get(id(L))
-    if entry is not None and entry[0] is L:
-        c = entry[1]
-    else:
+    """Nilpotency class at precision, raising ClassTooLarge when >= p.
+
+    The class is computed once per lattice and kept on it in `L.bch_class`.
+    """
+    c = L.bch_class
+    if c is None:
         c = L.nilpotency_class()
         if c is None:
             c = L.ctx.precision * L.dim + 1  # sentinel: not nilpotent at precision
-        _class_memo[id(L)] = (L, c)
+        L.bch_class = c
     if c >= L.ctx.p:
         raise ClassTooLarge(
             f"nilpotency class at precision is not below p = {L.ctx.p}; "

@@ -14,7 +14,7 @@ import sys
 from . import catalog
 from .bch import bch_commutator, bch_mul, bch_neg, bch_pow, hausdorff_table
 from .classifier import canonical_matrix, classify, full_orbit_partition
-from .errors import PadicLieError, PrecisionExhausted, UnknownFixture
+from .errors import BadParameter, PadicLieError, PrecisionExhausted, UnknownFixture
 from .lattice import Lattice
 from .linalg import PMatrix, Span
 from .padic import PadicContext
@@ -171,6 +171,9 @@ def _verify_p3_pair(args) -> int:
 
 def _verify_thm73_grid(args) -> int:
     ctx = _resolve(args, 10)
+    if ctx.p < 5:
+        # the grid's dimension 3 must be below p, and the classification assumes p > 3
+        raise BadParameter(f"thm73-grid needs p >= 5, got p = {ctx.p}")
     grid = catalog.thm73_grid(ctx, (0, 1), (0, 1), (0, 1, ctx.rho, ctx.p))
     entries = [(name, catalog.make_thm73(ctx, fam, params)) for name, fam, params in grid]
     c = Checks()
@@ -400,6 +403,10 @@ def cmd_bch(args) -> int:
         else:
             print(text)
         return EXIT_OK
+    second = {"mul": " Y", "comm": " Y", "pow": " EXPONENT"}.get(args.action, "")
+    if args.lattice is None or args.x is None or (second and args.y is None):
+        print(f"usage: bch {args.action} LATTICE X{second}", file=sys.stderr)
+        return EXIT_INPUT
     lat = _load_lattice(args.lattice, args.rho)
     u = _parse_element(lat, args.x)
     if args.action == "mul":

@@ -30,10 +30,11 @@ class Lattice:
     checks antisymmetry and the Jacobi identity on all basis triples.
     """
 
-    __slots__ = ("ctx", "dim", "labels", "constants")
+    __slots__ = ("ctx", "dim", "labels", "constants", "bch_class")
 
     def __init__(self, ctx: PadicContext, constants, labels=None, validate=True):
         self.ctx = ctx
+        self.bch_class: int | None = None  # set by bch.nilpotency_class_checked
         self.dim = len(constants)
         mod = ctx.modulus
         self.constants = tuple(

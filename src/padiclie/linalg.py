@@ -50,6 +50,16 @@ class PMatrix:
             raise ValueError("ragged matrix")
 
     @classmethod
+    def _reduced(cls, ctx: PadicContext, entries) -> "PMatrix":
+        """Wrap rectangular entries already reduced mod p^N, skipping validation."""
+        m = cls.__new__(cls)
+        m.ctx = ctx
+        m.entries = entries
+        m.rows = len(entries)
+        m.cols = len(entries[0]) if entries else 0
+        return m
+
+    @classmethod
     def identity(cls, ctx, n):
         return cls(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -62,13 +72,13 @@ class PMatrix:
         return PadicScalar(self.ctx, self.entries[i][j])
 
     def _check(self, other):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
 
     def __add__(self, other):
         self._check(other)
         mod = self.ctx.modulus
-        return PMatrix(
+        return PMatrix._reduced(
             self.ctx,
             [
                 [(a + b) % mod for a, b in zip(r1, r2)]
@@ -79,7 +89,7 @@ class PMatrix:
     def __sub__(self, other):
         self._check(other)
         mod = self.ctx.modulus
-        return PMatrix(
+        return PMatrix._reduced(
             self.ctx,
             [
                 [(a - b) % mod for a, b in zip(r1, r2)]
@@ -96,7 +106,7 @@ class PMatrix:
             raise ValueError("shape mismatch")
         mod = self.ctx.modulus
         ot = list(zip(*other.entries))
-        return PMatrix(
+        return PMatrix._reduced(
             self.ctx,
             [[sum(a * b for a, b in zip(row, col)) % mod for col in ot] for row in self.entries],
         )
@@ -104,7 +114,7 @@ class PMatrix:
     def __mul__(self, scalar):
         c = scalar.value if isinstance(scalar, PadicScalar) else scalar
         mod = self.ctx.modulus
-        return PMatrix(self.ctx, [[(c * a) % mod for a in r] for r in self.entries])
+        return PMatrix._reduced(self.ctx, [[(c * a) % mod for a in r] for r in self.entries])
 
     __rmul__ = __mul__
 

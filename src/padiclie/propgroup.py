@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClosureBudgetExceeded, ContextMismatch, NotNormal, NotProP
-from .linalg import PMatrix, Span, _nilpotent_mod_p, mat_pow_padic, vec_add, vec_scale, vec_sub, vec_sub
+from .linalg import PMatrix, Span, _nilpotent_mod_p, unipotent_order_exp, vec_add, vec_scale, vec_sub
 from .padic import PadicContext, PadicScalar
 
 CLOSURE_BUDGET_SLACK = 8
@@ -41,7 +41,7 @@ class GroupElement:
 class SemidirectGroup:
     """Z_p acting on Z_p^(d-1) through an invertible, unipotent-mod-p matrix."""
 
-    __slots__ = ("ctx", "fiber_dim", "action", "_twist_cache")
+    __slots__ = ("ctx", "fiber_dim", "action", "_twist_cache", "_order")
 
     def __init__(self, ctx: PadicContext, action: PMatrix):
         if action.ctx != ctx:
@@ -54,6 +54,7 @@ class SemidirectGroup:
         self.fiber_dim = action.rows
         self.action = action
         self._twist_cache: dict[int, PMatrix] = {}
+        self._order: int | None = None  # p-power order of the action at precision
 
     @property
     def dim(self) -> int:
@@ -78,7 +79,9 @@ class SemidirectGroup:
         a %= self.ctx.modulus
         m = self._twist_cache.get(a)
         if m is None:
-            m = mat_pow_padic(self.action, a)
+            if self._order is None:
+                self._order = self.ctx.p ** unipotent_order_exp(self.action)
+            m = self.action.pow(a % self._order)
             self._twist_cache[a] = m
         return m
 
@@ -101,14 +104,21 @@ class SemidirectGroup:
         return self.mul(self.inv(self.mul(h, g)), self.mul(g, h))
 
     def _geom_sum(self, T: PMatrix, n: int) -> PMatrix:
-        """I + T + ... + T^(n-1) by binary splitting of the recurrence."""
+        """I + T + ... + T^(n-1) in one pass over the bits of n.
+
+        Carries (S_k, T^k) with S_k = I + ... + T^(k-1), doubling by
+        S_2k = S_k + S_k T^k and stepping by S_(k+1) = S_k + T^k.
+        """
         if n == 0:
             return PMatrix.zero(self.ctx, self.fiber_dim)
-        if n % 2:
-            s = self._geom_sum(T, n - 1)
-            return s + T.pow(n - 1)
-        half = self._geom_sum(T, n // 2)
-        return half + half @ T.pow(n // 2)
+        s, tk = PMatrix.identity(self.ctx, self.fiber_dim), T  # k = 1, the leading bit
+        for bit in bin(n)[3:]:
+            s = s + s @ tk
+            tk = tk @ tk
+            if bit == "1":
+                s = s + tk
+                tk = tk @ T
+        return s
 
     def pow(self, g: GroupElement, n) -> GroupElement:
         """g^n for an integer or p-adic exponent."""
@@ -139,7 +149,7 @@ class SemidirectGroup:
 class SubgroupData:
     """A closed subgroup in split form: witness, fiber span, twist."""
 
-    __slots__ = ("group", "witness", "fiber", "powers_are_whole_set")
+    __slots__ = ("group", "witness", "fiber", "powers_are_whole_set", "_fiber_meet")
 
     def __init__(self, group: SemidirectGroup, witness: GroupElement | None, fiber: Span):
         self.group = group
@@ -153,6 +163,7 @@ class SubgroupData:
         else:
             self.fiber = _twist_closure(group, fiber, witness.a)
         self.powers_are_whole_set = None
+        self._fiber_meet: Span | None = None  # witness and fiber are fixed from here on
 
     @property
     def h_valuation(self):
@@ -167,15 +178,18 @@ class SubgroupData:
         return gens
 
     def fiber_intersection(self) -> Span:
-        """Span of the pure-fiber elements, witness depth included."""
-        g = self.group
+        """Span of the pure-fiber elements, witness depth included; computed once."""
         if self.witness is None:
             return self.fiber
-        e = g.ctx.val(self.witness.a)
-        m = g.ctx.precision - e
-        deep = g.pow(self.witness, g.ctx.p**m)
-        assert deep.a % g.ctx.modulus == 0
-        return _twist_closure(g, self.fiber.sum(Span(g.ctx, g.fiber_dim, [deep.v])), self.witness.a)
+        if self._fiber_meet is None:
+            g = self.group
+            e = g.ctx.val(self.witness.a)
+            m = g.ctx.precision - e
+            deep = g.pow(self.witness, g.ctx.p**m)
+            assert deep.a % g.ctx.modulus == 0
+            fiber = self.fiber.sum(Span(g.ctx, g.fiber_dim, [deep.v]))
+            self._fiber_meet = _twist_closure(g, fiber, self.witness.a)
+        return self._fiber_meet
 
     def contains_element(self, x: GroupElement) -> bool:
         g = self.group

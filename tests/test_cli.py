@@ -67,6 +67,12 @@ class TestVerify:
         assert code == 0
         assert "31 orbits" in out
 
+    def test_thm73_grid_rejects_small_primes(self, capsys):
+        code, out, err = run(capsys, "verify", "thm73-grid", "--p", "3")
+        assert code == 2
+        assert "p >= 5" in err
+        assert "FAIL" not in out
+
     def test_unknown_fixture(self, capsys):
         code, _, err = run(capsys, "verify", "no-such-fixture")
         assert code == 2
@@ -100,6 +106,22 @@ class TestConstructAndUse:
         code, out, _ = run(capsys, "bch", "mul", str(dst), "x", "y")
         assert code == 0
         assert out.strip() == "1,1,13"
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (("mul",), "usage: bch mul LATTICE X Y"),  # no lattice
+            (("mul", "LATTICE", "x"), "usage: bch mul LATTICE X Y"),  # no second element
+            (("neg", "LATTICE"), "usage: bch neg LATTICE X"),  # no element
+            (("pow", "LATTICE", "x"), "usage: bch pow LATTICE X EXPONENT"),  # no exponent
+        ],
+    )
+    def test_bch_missing_operands(self, capsys, tmp_path, argv, usage):
+        dst = tmp_path / "h.json"
+        run(capsys, "construct", "G0", "--s", "0", "--p", "5", "--N", "2", "-o", str(dst))
+        code, _, err = run(capsys, "bch", *[str(dst) if a == "LATTICE" else a for a in argv])
+        assert code == 2
+        assert err.strip() == usage
 
     def test_bch_table(self, capsys):
         code, out, _ = run(capsys, "bch", "table", "3")

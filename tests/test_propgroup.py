@@ -8,6 +8,7 @@ from padiclie.catalog import make_example_dim_p, make_thm73, thm73_fiber_matrix,
 from padiclie.classifier import classify, descriptors_equal
 from padiclie.errors import NotNormal, NotProP
 from padiclie.linalg import solve_over_rows
+from padiclie import propgroup
 from padiclie.propgroup import (
     SemidirectGroup,
     check_gamma_p_in_phi_p,
@@ -92,6 +93,91 @@ class TestGroupLaw:
         ctx = PadicContext(5, 4)
         with pytest.raises(NotProP):
             SemidirectGroup(ctx, PMatrix(ctx, [[2]]))
+
+
+class TestFastPaths:
+    """The one-pass, once-per-group and cached routes against plain ones."""
+
+    def groups(self):
+        _, g3 = make_thm73(PadicContext(5, 8), "G3", {"s": 1, "r": 0, "d": 1})
+        return [g3, example42(PadicContext(5, 4))]
+
+    def test_geom_sum_against_running_sum(self):
+        for g in self.groups():
+            ctx = g.ctx
+            T = g.twist(7)
+            running = PMatrix.zero(ctx, g.fiber_dim)
+            power = PMatrix.identity(ctx, g.fiber_dim)
+            checkpoints = {0, 1, 2, 3, 7, 8, 100, 12345}
+            for n in range(max(checkpoints) + 1):
+                if n in checkpoints:
+                    assert g._geom_sum(T, n) == running, n
+                running = running + power
+                power = power @ T
+
+    def test_pow_against_repeated_products(self):
+        rng = random.Random(11)
+        for g in self.groups():
+            x = random_element(g, rng)
+            acc = g.identity_element()
+            for n in range(31):
+                assert g.pow(x, n) == acc, n
+                acc = g.mul(acc, x)
+
+    def test_pow_adds_uniform_exponents(self):
+        rng = random.Random(12)
+        for g in self.groups():
+            mod = g.ctx.modulus
+            for _ in range(10):
+                x = random_element(g, rng)
+                k, l = rng.randrange(mod), rng.randrange(mod)
+                assert g.mul(g.pow(x, k), g.pow(x, l)) == g.pow(x, k + l)
+
+    def test_twist_against_unreduced_power(self):
+        rng = random.Random(13)
+        for g in self.groups():
+            for a in [0, 1] + [rng.randrange(g.ctx.modulus) for _ in range(20)]:
+                assert g.twist(a) == g.action.pow(a), a
+
+    def test_order_found_once_per_group(self, monkeypatch):
+        calls = []
+        original = propgroup.unipotent_order_exp
+
+        def counted(M, *args, **kwargs):
+            calls.append(M)
+            return original(M, *args, **kwargs)
+
+        monkeypatch.setattr(propgroup, "unipotent_order_exp", counted)
+        rng = random.Random(14)
+        for g in self.groups():
+            calls.clear()
+            for a in rng.sample(range(g.ctx.modulus), 50):
+                g.mul(random_element(g, rng), g.element(a, (1,) * g.fiber_dim))
+            assert len(g._twist_cache) == 50
+            assert calls == [g.action]
+
+    def test_cached_fiber_intersection_matches_recomputation(self):
+        rng = random.Random(15)
+        for g in self.groups():
+            ctx = g.ctx
+            full = full_subgroup(g)
+            for U in (full, frattini_p(g), power_subgroup(full), frattini_p_power(g)):
+                first = U.fiber_intersection()
+                for _ in range(10):
+                    U.contains_element(random_element(g, rng))
+                assert U.fiber_intersection() is first
+                e = ctx.val(U.witness.a)
+                deep = g.pow(U.witness, ctx.p ** (ctx.precision - e))
+                assert deep.a % ctx.modulus == 0
+                S = U.fiber.sum(Span(ctx, g.fiber_dim, [deep.v]))
+                T = g.twist(U.witness.a)
+                Ti = T.inverse()
+                while True:
+                    nxt = S.sum(S.image(T)).sum(S.image(Ti))
+                    if nxt == S:
+                        break
+                    S = nxt
+                assert first == S
 
 
 class TestSubgroups:
