@@ -2,7 +2,7 @@
 
 from .padic import PadicContext, PadicScalar, find_nonresidue, reduce, unit_inverse, valuation
 from .linalg import PMatrix, Span, mat_exp, mat_log, mat_pow_padic
-from .lattice import Filtration, Lattice, new_lattice
+from .lattice import Filtration, Lattice
 from .bch import bch_commutator, bch_mul, bch_neg, bch_pow, hausdorff_table
 from .propgroup import GroupElement, SemidirectGroup, SubgroupData
 from .classifier import SimilarityDescriptor, classify, similar
@@ -21,7 +21,6 @@ __all__ = [
     "mat_pow_padic",
     "Filtration",
     "Lattice",
-    "new_lattice",
     "bch_commutator",
     "bch_mul",
     "bch_neg",

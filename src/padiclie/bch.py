@@ -363,21 +363,36 @@ def nilpotency_class_checked(L: Lattice) -> int:
     return max(c, 1)
 
 
+def evaluate_words(table: BCHTable, u, v, bracket):
+    """Yield (coefficient, value) for each table term that is nonzero at X = u, Y = v.
+
+    A left-normed word is its prefix bracketed with its last letter, so the
+    words share their prefixes: each distinct prefix is bracketed once per
+    call, and a zero prefix makes every longer word zero without a bracket.
+    """
+    values = {"X": tuple(u), "Y": tuple(v)}
+
+    def value(word):
+        val = values.get(word)
+        if val is None:
+            head = value(word[:-1])
+            val = bracket(head, values[word[-1]]) if any(head) else head
+            values[word] = val
+        return val
+
+    for coeff, word in table.terms:
+        val = value(word)
+        if any(val):
+            yield coeff, val
+
+
 def bch_mul(L: Lattice, u, v):
     """Group product on the lattice through the Hausdorff series."""
-    c = nilpotency_class_checked(L)
-    table = hausdorff_table(c)
+    table = hausdorff_table(nilpotency_class_checked(L))
     mod = L.ctx.modulus
-    subst = {"X": tuple(u), "Y": tuple(v)}
     out = (0,) * L.dim
-    for coeff, word in table.terms:
-        val = subst[word[0]]
-        for letter in word[1:]:
-            val = L.bracket(val, subst[letter])
-            if not any(val):
-                break
-        else:
-            out = vec_add(out, vec_scale(L.ctx.reduce_fraction(coeff), val, mod), mod)
+    for coeff, val in evaluate_words(table, u, v, L.bracket):
+        out = vec_add(out, vec_scale(L.ctx.reduce_fraction(coeff), val, mod), mod)
     return out
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
-from .bch import hausdorff_table
+from .bch import evaluate_words, hausdorff_table
 from .classifier import SimilarityDescriptor, classify, descriptors_equal
 from .errors import (
     BadParameter,
@@ -367,19 +368,15 @@ class FiniteLieRing:
                 c += 1
         return c
 
-    # group structure through the series
+    # group structure through the series; the constants are fixed, so is the class
+    @cached_property
+    def _series_table(self):
+        return hausdorff_table(max(self.nilpotency_class(), 1))
+
     def mul(self, u, v):
-        table = hausdorff_table(max(self.nilpotency_class(), 1))
-        subst = {"X": u, "Y": v}
         out = self.zero()
-        for coeff, word in table.terms:
-            val = subst[word[0]]
-            for letter in word[1:]:
-                val = self.bracket(val, subst[letter])
-                if not any(val):
-                    break
-            else:
-                out = self.add(out, self.scale(coeff, val))
+        for coeff, val in evaluate_words(self._series_table, u, v, self.bracket):
+            out = self.add(out, self.scale(coeff, val))
         return out
 
     def neg(self, u):

@@ -417,11 +417,8 @@ def cmd_bch(args) -> int:
         out = bch_commutator(lat, u, v)
     elif args.action == "neg":
         out = bch_neg(lat, u)
-    elif args.action == "pow":
+    else:  # pow; argparse's choices reject any other action
         out = bch_pow(lat, u, int(args.y))
-    else:
-        print(f"unknown bch action {args.action}", file=sys.stderr)
-        return EXIT_INPUT
     print(",".join(str(c) for c in out))
     _emit(args, {"result": list(out)})
     return EXIT_OK

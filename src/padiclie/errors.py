@@ -82,4 +82,4 @@ class UnknownFixture(PadicLieError):
 
 
 class ClosureBudgetExceeded(PadicLieError):
-    """Subgroup closure failed to stabilise within its round budget (internal bug)."""
+    """A series or closure failed to stabilise within its round budget (internal bug)."""

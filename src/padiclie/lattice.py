@@ -17,10 +17,17 @@ from .errors import (
     NotASublattice,
     PrecisionExhausted,
 )
-from .linalg import PMatrix, Span, isolated_kernel, structural_profile, vec_add, vec_scale
+from .linalg import (
+    BUDGET_SLACK,
+    PMatrix,
+    Span,
+    fixpoint,
+    isolated_kernel,
+    structural_profile,
+    vec_add,
+    vec_scale,
+)
 from .padic import PadicContext
-
-SERIES_BUDGET_SLACK = 8
 
 
 class Lattice:
@@ -84,9 +91,6 @@ class Lattice:
     def basis_vector(self, i):
         return self._basis(i)
 
-    def label_index(self, name: str) -> int:
-        return self.labels.index(name)
-
     def bracket(self, u, v):
         """Bilinear extension of the structure constants to vectors."""
         mod = self.ctx.modulus
@@ -117,22 +121,14 @@ class Lattice:
         """Matrix of u -> [u, v] acting on row vectors."""
         return PMatrix(self.ctx, [self.bracket(self._basis(i), v) for i in range(self.dim)])
 
-    def killing(self, u, v) -> int:
-        return (self.ad_matrix(u) @ self.ad_matrix(v)).trace()
-
     # -- series ------------------------------------------------------------
 
+    def _fixpoint(self, step, start: Span) -> list[Span]:
+        return fixpoint(step, start, 4 * self.ctx.precision * self.dim + BUDGET_SLACK)
+
     def _series(self, step) -> list[Span]:
-        terms = [self.full_span()]
-        budget = 4 * self.ctx.precision * self.dim + SERIES_BUDGET_SLACK
-        for _ in range(budget):
-            nxt = step(terms[-1])
-            if nxt == terms[-1]:
-                return terms
-            terms.append(nxt)
-            if nxt.is_zero():
-                return terms
-        raise AssertionError("series failed to stabilise within budget")
+        # every series here maps a zero term to zero: skip that last step
+        return self._fixpoint(lambda S: S if S.is_zero() else step(S), self.full_span())
 
     def lower_central(self) -> list[Span]:
         """gamma_1 = L, gamma_{i+1} = [gamma_i, L], to stabilisation."""
@@ -158,7 +154,7 @@ class Lattice:
         saturating each step makes a perfect derived span stabilise nonzero
         instead.
         """
-        terms = self._series(lambda S: self.bracket_span(S, S).structural_saturate())
+        terms = self._series(lambda S: self.bracket_span(S, S).saturate())
         return terms[-1].is_zero()
 
     def nilpotency_class(self) -> int | None:
@@ -241,14 +237,7 @@ class Lattice:
         return c.size_exp() - derived.size_exp()
 
     def sublattice_closure(self, S: Span) -> Span:
-        budget = 4 * self.ctx.precision * self.dim + SERIES_BUDGET_SLACK
-        cur = S
-        for _ in range(budget):
-            nxt = cur.sum(self.bracket_span(cur, cur))
-            if nxt == cur:
-                return cur
-            cur = nxt
-        raise AssertionError("bracket closure failed to stabilise")
+        return self._fixpoint(lambda T: T.sum(self.bracket_span(T, T)), S)[-1]
 
     def is_sublattice(self, S: Span) -> bool:
         return S.contains(self.bracket_span(S, S))
@@ -262,14 +251,7 @@ class Lattice:
         """
         if strict and not self.is_sublattice(S):
             raise NotASublattice("span is not closed under the bracket")
-        budget = 4 * self.ctx.precision * self.dim + SERIES_BUDGET_SLACK
-        cur = S
-        for _ in range(budget):
-            nxt = self.sublattice_closure(cur).saturate()
-            if nxt == cur:
-                return cur
-            cur = nxt
-        raise AssertionError("isolator iteration failed to stabilise")
+        return self._fixpoint(lambda T: self.sublattice_closure(T).saturate(), S)[-1]
 
     def soluble_radical(self) -> Span:
         """Kernel of the Killing pairing against [L,L], saturated.
@@ -367,11 +349,6 @@ class Lattice:
         return cls(ctx, constants, labels)
 
 
-def new_lattice(ctx, constants, labels=None) -> Lattice:
-    """Validated lattice from raw structure constants."""
-    return Lattice(ctx, constants, labels)
-
-
 @dataclass
 class Filtration:
     """A descending chain of canonical spans inside a lattice."""
@@ -403,6 +380,8 @@ class PotencyStep:
 
 @dataclass
 class PotencyReport:
+    """Stepwise potency certificate of a chain in a lattice or in a split group."""
+
     steps: list[PotencyStep]
     terminal_ok: bool
 
@@ -415,14 +394,3 @@ class PotencyReport:
             if not s.ok:
                 return s.index
         return None if self.terminal_ok else len(self.steps) + 1
-
-    def lines(self) -> list[str]:
-        out = []
-        for s in self.steps:
-            out.append(
-                f"step {s.index}: [N_i,L] <= N_i+1: {'ok' if s.step_ok else 'FAIL'}; "
-                f"[N_i,_(p-1) L] <= p N_i+1: {'ok' if s.deep_ok else 'FAIL'}"
-            )
-        out.append(f"terminal term zero at precision: {'ok' if self.terminal_ok else 'FAIL'}")
-        out.append(f"overall: {'pass' if self.passed else 'fail'}")
-        return out

@@ -8,16 +8,41 @@ rows augmented with an identity block, yields kernels of module maps.
 
 The module also houses the matrix exponential and logarithm (convergent
 for p >= 5 on matrices whose square vanishes mod p, with truncation bounds
-computed from p and N rather than hard-coded) and p-adic powers of
-unipotent-mod-p matrices.
+computed from p and N rather than hard-coded), p-adic powers of
+unipotent-mod-p matrices, and `fixpoint`, the one budgeted iteration behind
+every series and closure in the package: a budget overrun raises
+`ClosureBudgetExceeded`.
 """
 
 from __future__ import annotations
 
-from .errors import ConvergenceViolated, ContextMismatch, NotAUnit, NotContained, NotProP
+from .errors import (
+    ClosureBudgetExceeded,
+    ConvergenceViolated,
+    ContextMismatch,
+    NotAUnit,
+    NotContained,
+    NotProP,
+)
 from .padic import PadicContext, PadicScalar
 
 Vector = tuple[int, ...]
+
+BUDGET_SLACK = 8  # added to every fixed-point budget, which otherwise scales with N * dim
+
+
+def fixpoint(step, start, budget: int) -> list:
+    """The iterates start, step(start), ... up to the first x with step(x) == x.
+
+    Raises ClosureBudgetExceeded when `budget` steps do not reach one.
+    """
+    terms = [start]
+    for _ in range(budget):
+        nxt = step(terms[-1])
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
+    raise ClosureBudgetExceeded(f"iteration did not stabilise within {budget} steps")
 
 
 def vec_add(u, v, mod):
@@ -67,9 +92,6 @@ class PMatrix:
     def zero(cls, ctx, n, m=None):
         m = n if m is None else m
         return cls(ctx, [[0] * m for _ in range(n)])
-
-    def entry(self, i, j) -> PadicScalar:
-        return PadicScalar(self.ctx, self.entries[i][j])
 
     def _check(self, other):
         if self.ctx is not other.ctx and self.ctx != other.ctx:
@@ -189,10 +211,6 @@ class PMatrix:
                     c = work[i][j]
                     work[i] = [(e - c * f) % mod for e, f in zip(work[i], work[j])]
         return PMatrix(self.ctx, [row[n:] for row in work])
-
-    def reduce_mod_p(self) -> list[list[int]]:
-        p = self.ctx.p
-        return [[e % p for e in row] for row in self.entries]
 
     def lift(self, ctx: PadicContext) -> "PMatrix":
         """Canonical integer lift into a higher-precision context."""
@@ -434,8 +452,6 @@ class Span:
         """Number of elementary divisors: the honest rank at precision."""
         return len(self.structural_profile())
 
-    structural_saturate = saturate
-
     def to_json(self) -> dict:
         return {"dim": self.dim, "generators": [list(r) for r in self.rows]}
 
@@ -502,12 +518,6 @@ def isolated_kernel(rows, ctx, dim) -> Span:
     pivot_rows, zero_rows = _eliminate(aug, ctx, dim, width)
     profile = structural_profile([r[dim:] for r in zero_rows], ctx, n)
     return Span(ctx, n, [w for e, w in profile if e == 0])
-
-
-def elementary_divisors(rows, ctx, dim) -> list[int]:
-    """Pivot valuations of the span generated by `rows`, in pivot-column order."""
-    pivot_rows, _ = _eliminate(rows, ctx, dim, dim)
-    return [ctx.val(r[c]) for c, r in pivot_rows]
 
 
 def structural_profile(rows, ctx, dim) -> list[tuple[int, Vector]]:
@@ -577,7 +587,7 @@ def _nilpotency_degree_mod_p(A: PMatrix) -> int | None:
             [sum(B[i][t] * A.entries[t][j] for t in range(n)) % p for j in range(n)]
             for i in range(n)
         ]
-    return 1 if all(e == 0 for row in B for e in row) else None
+    return None
 
 
 def _series_degree(A: PMatrix, what: str) -> int:
@@ -596,26 +606,16 @@ def _series_degree(A: PMatrix, what: str) -> int:
     return max(k, 1)
 
 
-def _exp_bound(p: int, N: int, k: int) -> int:
-    """Least n0 with floor(n/k) - v_p(n!) >= N for every n >= n0."""
-    limit = (N + 2) * k * (p - 1)
-    n0 = 0
-    for n in range(limit + 1):
-        if n // k - _val_factorial(n, p) < N:
-            n0 = n + 1
-    return n0
+def _series_bound(p: int, N: int, k: int, denominator_val) -> int:
+    """Least n0 >= 1 with floor(n/k) - denominator_val(n) >= N for every n >= n0.
 
-
-def _log_bound(p: int, N: int, k: int) -> int:
-    limit = (N + 2) * k * (p - 1)
+    A^n has valuation at least floor(n/k), so from n0 on the n-th term of the
+    series vanishes at precision.  For k < p - 1 the inequality holds past
+    (N + 2) k (p - 1) for the denominators n! and n alike, so the scan stops there.
+    """
     n0 = 1
-    for n in range(1, limit + 1):
-        v = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            v += 1
-        if n // k - v < N:
+    for n in range(1, (N + 2) * k * (p - 1) + 1):
+        if n // k - denominator_val(n) < N:
             n0 = n + 1
     return n0
 
@@ -631,7 +631,7 @@ def mat_exp(A: PMatrix) -> PMatrix:
     ctx = A.ctx
     k = _series_degree(A, "exponential")
     N = ctx.precision
-    n0 = _exp_bound(ctx.p, N, k)
+    n0 = _series_bound(ctx.p, N, k, lambda n: _val_factorial(n, ctx.p))
     head = _val_factorial(n0, ctx.p) + 1
     big = ctx.lift(head)
     mod = big.modulus
@@ -665,7 +665,8 @@ def mat_log(M: PMatrix) -> PMatrix:
     E = M - PMatrix.identity(ctx, M.rows)
     k = _series_degree(E, "logarithm")
     N = ctx.precision
-    n0 = _log_bound(ctx.p, N, k)
+    p = ctx.p
+    n0 = _series_bound(p, N, k, lambda n: _val_factorial(n, p) - _val_factorial(n - 1, p))  # v_p(n)
     head = 0
     m = 1
     while m <= n0:
@@ -694,23 +695,13 @@ def mat_log(M: PMatrix) -> PMatrix:
     return PMatrix(ctx, acc.entries)
 
 
-def _nilpotent_mod_p(A: PMatrix) -> bool:
-    p = A.ctx.p
-    n = A.rows
-    B = [[e % p for e in row] for row in A.entries]
-    for _ in range(n):
-        B = [[sum(B[i][k] * A.entries[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
-    return all(e == 0 for row in B for e in row)
-
-
-def unipotent_order_exp(M: PMatrix, bound: int | None = None) -> int:
+def unipotent_order_exp(M: PMatrix) -> int:
     """Least k with M^(p^k) = I at the working precision."""
     ctx = M.ctx
     I = PMatrix.identity(ctx, M.rows)
-    E = M - I
-    if not _nilpotent_mod_p(E):
+    if _nilpotency_degree_mod_p(M - I) is None:
         raise NotProP("matrix is not unipotent mod p")
-    bound = ctx.precision + 2 if bound is None else bound
+    bound = ctx.precision + 2
     power = M
     for k in range(bound + 1):
         if power == I:

@@ -22,11 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ClosureBudgetExceeded, ContextMismatch, NotNormal, NotProP
-from .linalg import PMatrix, Span, _nilpotent_mod_p, unipotent_order_exp, vec_add, vec_scale, vec_sub
+from .errors import ContextMismatch, NotNormal, NotProP
+from .lattice import PotencyReport, PotencyStep
+from .linalg import (
+    BUDGET_SLACK,
+    PMatrix,
+    Span,
+    _nilpotency_degree_mod_p,
+    fixpoint,
+    unipotent_order_exp,
+    vec_add,
+    vec_scale,
+)
 from .padic import PadicContext, PadicScalar
-
-CLOSURE_BUDGET_SLACK = 8
 
 
 @dataclass(frozen=True)
@@ -48,7 +56,7 @@ class SemidirectGroup:
             raise ContextMismatch("action matrix context differs")
         if action.rows != action.cols:
             raise ValueError("action matrix must be square")
-        if not _nilpotent_mod_p(action - PMatrix.identity(ctx, action.rows)):
+        if _nilpotency_degree_mod_p(action - PMatrix.identity(ctx, action.rows)) is None:
             raise NotProP("action matrix is not unipotent mod p")
         self.ctx = ctx
         self.fiber_dim = action.rows
@@ -149,7 +157,7 @@ class SemidirectGroup:
 class SubgroupData:
     """A closed subgroup in split form: witness, fiber span, twist."""
 
-    __slots__ = ("group", "witness", "fiber", "powers_are_whole_set", "_fiber_meet")
+    __slots__ = ("group", "witness", "fiber", "_fiber_meet")
 
     def __init__(self, group: SemidirectGroup, witness: GroupElement | None, fiber: Span):
         self.group = group
@@ -162,7 +170,6 @@ class SubgroupData:
             self.fiber = fiber
         else:
             self.fiber = _twist_closure(group, fiber, witness.a)
-        self.powers_are_whole_set = None
         self._fiber_meet: Span | None = None  # witness and fiber are fixed from here on
 
     @property
@@ -242,14 +249,8 @@ def _twist_closure(group: SemidirectGroup, S: Span, a: int) -> Span:
     """Closure of a fiber span under M^a and M^-a."""
     T = group.twist(a)
     Ti = T.inverse()
-    budget = 4 * group.ctx.precision * group.dim + CLOSURE_BUDGET_SLACK
-    cur = S
-    for _ in range(budget):
-        nxt = cur.sum(cur.image(T)).sum(cur.image(Ti))
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise ClosureBudgetExceeded("twist closure did not stabilise")
+    budget = 4 * group.ctx.precision * group.dim + BUDGET_SLACK
+    return fixpoint(lambda cur: cur.sum(cur.image(T)).sum(cur.image(Ti)), S, budget)[-1]
 
 
 def generated_subgroup(group: SemidirectGroup, gens) -> SubgroupData:
@@ -283,25 +284,17 @@ def full_subgroup(group: SemidirectGroup) -> SubgroupData:
     return generated_subgroup(group, group.standard_generators())
 
 
-def conjugate_subgroup(U: SubgroupData, h: GroupElement) -> SubgroupData:
-    return generated_subgroup(U.group, [U.group.conj(g, h) for g in U.generators()])
-
-
 def normal_closure(U: SubgroupData) -> SubgroupData:
     """Closure of U under conjugation by the standard generators."""
     group = U.group
     std = group.standard_generators()
     std = std + [group.inv(g) for g in std]
-    budget = 4 * group.ctx.precision * group.dim + CLOSURE_BUDGET_SLACK
-    cur = U
-    for _ in range(budget):
+
+    def step(cur):
         gens = cur.generators()
-        new_gens = gens + [group.conj(g, h) for g in gens for h in std]
-        nxt = generated_subgroup(group, new_gens)
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise ClosureBudgetExceeded("normal closure did not stabilise")
+        return generated_subgroup(group, gens + [group.conj(g, h) for g in gens for h in std])
+
+    return fixpoint(step, U, 4 * group.ctx.precision * group.dim + BUDGET_SLACK)[-1]
 
 
 def join(U: SubgroupData, V: SubgroupData) -> SubgroupData:
@@ -330,57 +323,15 @@ def power_subgroup(U: SubgroupData) -> SubgroupData:
     return SubgroupData(group, group.pow(U.witness, p), fiber)
 
 
-def powers_form_whole_subgroup(U: SubgroupData) -> bool:
-    """Whether the pure-fiber part of <h^p : h in U> consists of p-th powers of U.
-
-    Decided on a deterministic sample of the fiber part (canonical
-    generators, their pairwise sums and p-scalings) against the finitely
-    many witness exponents whose p-th power lands in the fiber at
-    precision.  Recorded as a diagnostic, not used by any other operation.
-    """
-    group = U.group
-    ctx = group.ctx
-    p = ctx.p
-    target = power_subgroup(U).fiber_intersection()
-    if U.witness is None:
-        return True  # abelian fiber: h^p = p h, and pF is exactly the power set
-    e = ctx.val(U.witness.a)
-    m = max(ctx.precision - 1 - e, 0)
-    mod = ctx.modulus
-    slices = []  # (offset vector, image span) per admissible witness exponent
-    for t in range(ctx.p ** (e + 1)):
-        lam = (ctx.p**m * t) % mod
-        base = group.pow(U.witness, lam)
-        wp = group.pow(base, p)
-        assert wp.a % mod == 0
-        twist_sum = group._geom_sum(group.twist(base.a), p)
-        slices.append((wp.v, U.fiber.image(twist_sum)))
-    gens = list(target.rows)
-    sample = list(gens)
-    sample += [vec_add(a, b, mod) for i, a in enumerate(gens) for b in gens[i + 1 :]]
-    sample += [vec_scale(p, a, mod) for a in gens]
-    for v in sample:
-        if not any(img.member(vec_sub(v, off, mod)) for off, img in slices):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # standard series and the saturability check
 # ---------------------------------------------------------------------------
 
 
 def _series(group: SemidirectGroup, first: SubgroupData, step) -> list[SubgroupData]:
-    terms = [first]
-    budget = 6 * group.ctx.precision * group.dim + CLOSURE_BUDGET_SLACK
-    for _ in range(budget):
-        nxt = step(terms[-1])
-        if nxt == terms[-1]:
-            return terms
-        terms.append(nxt)
-        if nxt.is_trivial():
-            return terms
-    raise ClosureBudgetExceeded("series did not stabilise")
+    # both series map the trivial subgroup to itself: skip that last step
+    budget = 6 * group.ctx.precision * group.dim + BUDGET_SLACK
+    return fixpoint(lambda U: U if U.is_trivial() else step(U), first, budget)
 
 
 def gamma_series(group: SemidirectGroup) -> list[SubgroupData]:
@@ -405,13 +356,9 @@ def frattini_p(group: SemidirectGroup) -> SubgroupData:
     return normal_closure(join(power_subgroup(full), commutator_subgroup(full, full)))
 
 
-def frattini_p_power(group: SemidirectGroup, record_power_set: bool = False) -> SubgroupData:
+def frattini_p_power(group: SemidirectGroup) -> SubgroupData:
     """Phi(G)^p, the subgroup generated by p-th powers of Phi(G)."""
-    phi = frattini_p(group)
-    out = power_subgroup(phi)
-    if record_power_set:
-        out.powers_are_whole_set = powers_form_whole_subgroup(phi)
-    return out
+    return power_subgroup(frattini_p(group))
 
 
 @dataclass
@@ -419,12 +366,6 @@ class GammaPhiReport:
     holds: bool
     gamma_generators: list
     failing: list
-
-    def lines(self):
-        out = [f"gamma_p(G) <= Phi(G)^p: {'yes' if self.holds else 'NO'}"]
-        for g in self.failing:
-            out.append(f"  generator outside Phi(G)^p: {g}")
-        return out
 
 
 def check_gamma_p_in_phi_p(group: SemidirectGroup) -> GammaPhiReport:
@@ -438,45 +379,7 @@ def check_gamma_p_in_phi_p(group: SemidirectGroup) -> GammaPhiReport:
     return GammaPhiReport(not failing, gamma_p.generators(), failing)
 
 
-@dataclass
-class GroupPotencyStep:
-    index: int
-    step_ok: bool
-    deep_ok: bool
-
-    @property
-    def ok(self):
-        return self.step_ok and self.deep_ok
-
-
-@dataclass
-class GroupPotencyReport:
-    steps: list[GroupPotencyStep]
-    terminal_ok: bool
-
-    @property
-    def passed(self):
-        return self.terminal_ok and all(s.ok for s in self.steps)
-
-    def first_failure(self):
-        for s in self.steps:
-            if not s.ok:
-                return s.index
-        return None if self.terminal_ok else len(self.steps) + 1
-
-    def lines(self):
-        out = []
-        for s in self.steps:
-            out.append(
-                f"step {s.index}: [N_i,G] <= N_i+1: {'ok' if s.step_ok else 'FAIL'}; "
-                f"[N_i,_(p-1) G] <= N_i+1^p: {'ok' if s.deep_ok else 'FAIL'}"
-            )
-        out.append(f"terminal term trivial at precision: {'ok' if self.terminal_ok else 'FAIL'}")
-        out.append(f"overall: {'pass' if self.passed else 'fail'}")
-        return out
-
-
-def verify_group_potent_filtration(group: SemidirectGroup, chain) -> GroupPotencyReport:
+def verify_group_potent_filtration(group: SemidirectGroup, chain) -> PotencyReport:
     """Stepwise potency certificate for a given chain of normal subgroups."""
     full = full_subgroup(group)
     std = group.standard_generators()
@@ -494,6 +397,6 @@ def verify_group_potent_filtration(group: SemidirectGroup, chain) -> GroupPotenc
         for _ in range(p - 1):
             deep = commutator_subgroup(deep, full)
         deep_ok = power_subgroup(chain[i + 1]).contains(deep)
-        steps.append(GroupPotencyStep(i + 1, step_ok, deep_ok))
+        steps.append(PotencyStep(i + 1, step_ok, deep_ok))
     terminal_ok = chain[-1].is_trivial()
-    return GroupPotencyReport(steps, terminal_ok)
+    return PotencyReport(steps, terminal_ok)

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from padiclie import PadicContext, PMatrix, mat_exp
+from padiclie import PadicContext, PMatrix, mat_exp, mat_log
 from padiclie.bch import (
     bch_commutator,
     bch_mul,
     bch_neg,
     bch_pow,
+    evaluate_words,
     free_nilpotent_lattice,
     hausdorff_oracle,
     hausdorff_table,
@@ -159,6 +160,64 @@ class TestLatticeGroupLaw:
         _, L = make_example_dim_p(ctx)
         with pytest.raises(ClassTooLarge):
             bch_mul(L, L.basis_vector(0), L.basis_vector(1))
+
+
+class TestWordEvaluation:
+    def test_each_prefix_bracketed_once(self):
+        # a formal bracket is never zero, so every word is evaluated in full
+        letters = {"X": ("X",), "Y": ("Y",)}
+        for c, brackets in ((3, 3), (4, 4), (5, 12), (6, 17)):
+            calls = []
+
+            def bracket(a, b):
+                calls.append((a, b))
+                return ("[", a, b)
+
+            table = hausdorff_table(c)
+            expected = []
+            for coeff, word in table.terms:
+                val = letters[word[0]]
+                for letter in word[1:]:
+                    val = ("[", val, letters[letter])
+                expected.append((coeff, val))
+            assert list(evaluate_words(table, ("X",), ("Y",), bracket)) == expected
+            assert len(calls) == brackets
+
+
+def upper_triangular_lattice(ctx, n):
+    """Strictly upper-triangular n x n matrices, basis E_ij (i < j), [A, B] = AB - BA."""
+    basis = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {e: k for k, e in enumerate(basis)}
+    d = len(basis)
+    constants = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for a, (i, j) in enumerate(basis):
+        for b, (k, l) in enumerate(basis):
+            if j == k:
+                constants[a][b][index[(i, l)]] += 1
+            if l == i:
+                constants[a][b][index[(k, j)]] -= 1
+    return Lattice(ctx, constants), basis
+
+
+class TestGroupLawAgainstMatrices:
+    def test_bch_mul_is_log_of_exp_product(self):
+        # class 3 < p = 7, and U^4 = 0 keeps exp and log convergent (4 < p - 1)
+        ctx = PadicContext(7, 6)
+        L, basis = upper_triangular_lattice(ctx, 4)
+        assert L.nilpotency_class() == 3
+
+        def matrix(u):
+            entries = [[0] * 4 for _ in range(4)]
+            for c, (i, j) in zip(u, basis):
+                entries[i][j] = c
+            return PMatrix(ctx, entries)
+
+        rng = random.Random(77)
+        for _ in range(25):
+            u = tuple(rng.randrange(ctx.modulus) for _ in basis)
+            v = tuple(rng.randrange(ctx.modulus) for _ in basis)
+            log = mat_log(mat_exp(matrix(u)) @ mat_exp(matrix(v)))
+            assert log == matrix(bch_mul(L, u, v))
 
 
 class TestMatrixGroupRecovery:

@@ -2,9 +2,15 @@ import random
 
 import pytest
 
-from padiclie import Lattice, PadicContext, PMatrix, Span, new_lattice
+from padiclie import Lattice, PadicContext, PMatrix, Span, lattice
 from padiclie.catalog import make_2dim, make_example_dim_p, make_insoluble
-from padiclie.errors import AntisymmetryViolated, JacobiViolated, NotASublattice, PrecisionExhausted
+from padiclie.errors import (
+    AntisymmetryViolated,
+    ClosureBudgetExceeded,
+    JacobiViolated,
+    NotASublattice,
+    PrecisionExhausted,
+)
 
 
 def heisenberg(ctx):
@@ -42,7 +48,7 @@ class TestValidation:
         constants[0][2] = [1, 0, 0]
         constants[2][0] = [-1, 0, 0]
         with pytest.raises(JacobiViolated):
-            new_lattice(ctx, constants)
+            Lattice(ctx, constants)
 
     def test_antisymmetry_violation(self):
         ctx = PadicContext(5, 4)
@@ -51,7 +57,7 @@ class TestValidation:
         constants[0][1] = [0, 1]
         constants[1][0] = [0, 1]
         with pytest.raises(AntisymmetryViolated):
-            new_lattice(ctx, constants)
+            Lattice(ctx, constants)
 
 
 class TestBracket:
@@ -243,6 +249,16 @@ class TestIsolator:
             assert H.isolator(iso) == iso
             assert iso.index_exp(S) >= 0
             assert len(iso.pivots) == len(S.pivots)
+
+    def test_budget_overrun_raises(self, monkeypatch):
+        ctx = PadicContext(5, 4)
+        H = heisenberg(ctx)
+        # a budget of one step: each loop below needs at least two
+        monkeypatch.setattr(lattice, "BUDGET_SLACK", 1 - 4 * ctx.precision * H.dim)
+        S = Span(ctx, 3, [(1, 0, 0), (0, 1, 0)])
+        for run in (H.lower_central, lambda: H.sublattice_closure(S), lambda: H.isolator(S)):
+            with pytest.raises(ClosureBudgetExceeded):
+                run()
 
 
 class TestRadical:

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from padiclie import PadicContext, PMatrix, Span, mat_exp, mat_log, mat_pow_padic
-from padiclie.errors import ConvergenceViolated, NotContained, NotProP
-from padiclie.linalg import left_kernel, solve_over_rows
+from padiclie.errors import ClosureBudgetExceeded, ConvergenceViolated, NotContained, NotProP
+from padiclie.linalg import _series_bound, fixpoint, left_kernel, solve_over_rows
 
 
 def ctx5(n=4):
@@ -154,7 +154,7 @@ class TestSpan:
         assert s.structural_rank() == 1
         plane = Span(ctx, 3, [(5, 1, 0), (0, 0, 1)])
         assert sorted(e for e, _ in plane.structural_profile()) == [0, 0]
-        assert plane.structural_saturate() == Span(ctx, 3, [(5, 1, 0), (0, 0, 1)])
+        assert plane.saturate() == Span(ctx, 3, [(5, 1, 0), (0, 0, 1)])
 
     def test_serialization_round_trip(self):
         ctx = ctx5()
@@ -221,3 +221,44 @@ class TestMatrixFunctions:
         ctx = PadicContext(5, 3)
         A = PMatrix(ctx, [[1, 2], [3, 4]])
         assert PMatrix.from_json(ctx, A.to_json()) == A
+
+
+class TestFixpoint:
+    def test_returns_the_iterates(self):
+        assert fixpoint(lambda x: min(x + 1, 3), 0, 10) == [0, 1, 2, 3]
+        assert fixpoint(lambda x: x, "a", 1) == ["a"]
+
+    def test_budget_counts_every_step(self):
+        # three growing steps and the step that confirms the fixed point
+        assert fixpoint(lambda x: min(x + 1, 3), 0, 4) == [0, 1, 2, 3]
+        with pytest.raises(ClosureBudgetExceeded):
+            fixpoint(lambda x: min(x + 1, 3), 0, 3)
+
+    def test_never_stable_raises(self):
+        with pytest.raises(ClosureBudgetExceeded):
+            fixpoint(lambda x: x + 1, 0, 20)
+
+
+def _vp(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+class TestSeriesBound:
+    def test_least_bound_for_exp_and_log_denominators(self):
+        for p in (5, 7, 11, 13):
+            top = 26 * (p - 2) * (p - 1)  # the largest scan limit on the grid
+            v_n = [0] + [_vp(n, p) for n in range(1, top + 1)]
+            v_fact = [0] * (top + 1)
+            for n in range(1, top + 1):
+                v_fact[n] = v_fact[n - 1] + v_n[n]
+            for N in range(1, 25):
+                for k in range(1, p - 1):
+                    limit = (N + 2) * k * (p - 1)
+                    for val in (v_fact, v_n):
+                        n0 = _series_bound(p, N, k, val.__getitem__)
+                        assert all(n // k - val[n] >= N for n in range(n0, limit + 1))
+                        assert n0 == 1 or (n0 - 1) // k - val[n0 - 1] < N

@@ -19,7 +19,6 @@ from padiclie.propgroup import (
     generated_subgroup,
     lower_p_series_group,
     power_subgroup,
-    powers_form_whole_subgroup,
     verify_group_potent_filtration,
 )
 
@@ -258,13 +257,6 @@ class TestSubgroups:
             if up.a % ctx.modulus == 0:
                 seen = seen.sum(Span(ctx, g.fiber_dim, [up.v]))
         assert P.fiber_intersection().contains(seen)
-
-    def test_powers_form_whole_set_flag(self):
-        ctx = PadicContext(5, 3)
-        g = example42(ctx)
-        assert powers_form_whole_subgroup(full_subgroup(g)) in (True, False)
-        phi_p = frattini_p_power(g, record_power_set=True)
-        assert phi_p.powers_are_whole_set is not None
 
 
 class TestSaturabilityChecks:
