@@ -9,12 +9,15 @@ rows augmented with an identity block, yields kernels of module maps.
 The module also houses the matrix exponential and logarithm (convergent
 for p >= 5 on matrices whose square vanishes mod p, with truncation bounds
 computed from p and N rather than hard-coded), p-adic powers of
-unipotent-mod-p matrices, and `fixpoint`, the one budgeted iteration behind
+unipotent-mod-p matrices, their binomial (Mahler) sums over a table of powers
+of M - I, and `fixpoint`, the one budgeted iteration behind
 every series and closure in the package: a budget overrun raises
 `ClosureBudgetExceeded`.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import (
     ClosureBudgetExceeded,
@@ -218,11 +221,10 @@ class PMatrix:
 
     def apply_row(self, v: Vector) -> Vector:
         """Row vector times matrix."""
+        if len(v) != self.rows:
+            raise ValueError("vector length differs from the matrix's row count")
         mod = self.ctx.modulus
-        return tuple(
-            sum(v[i] * self.entries[i][j] for i in range(self.rows)) % mod
-            for j in range(self.cols)
-        )
+        return tuple(sum(map(mul, v, col)) % mod for col in zip(*self.entries))
 
     def to_json(self) -> dict:
         return {"rows": self.rows, "entries": [e for row in self.entries for e in row]}
@@ -693,6 +695,45 @@ def mat_log(M: PMatrix) -> PMatrix:
             entries.append(out)
         acc = acc + PMatrix(big, entries)
     return PMatrix(ctx, acc.entries)
+
+
+def binomials(n: int):
+    """C(n, 0), C(n, 1), ... exactly, for an integer n >= 0; ends after C(n, n)."""
+    c, j = 1, 0
+    while c:
+        yield c
+        j += 1
+        c = c * (n - j + 1) // j
+
+
+def powers_to_zero(E: PMatrix, limit: int) -> list[PMatrix] | None:
+    """[E^0, ..., E^(K-1)] with E^K = 0 at precision, or None when E^limit != 0."""
+    powers = [PMatrix.identity(E.ctx, E.rows)]
+    cur = E
+    while not cur.is_zero():
+        if len(powers) == limit:  # cur is E^limit
+            return None
+        powers.append(cur)
+        cur = cur @ E
+    return powers
+
+
+def binomial_sum(powers: list[PMatrix], n: int) -> PMatrix:
+    """Sum of C(n, j) E^j over the table of `powers_to_zero`: (I + E)^n for n >= 0.
+
+    This is the Mahler expansion of n -> (I + E)^n, a linear combination
+    of the table with no matrix product.
+    """
+    ctx = powers[0].ctx
+    mod = ctx.modulus
+    terms = [(c % mod, P.entries) for c, P in zip(binomials(n), powers)]
+    return PMatrix._reduced(
+        ctx,
+        [
+            [sum(c * P[r][s] for c, P in terms) % mod for s in range(len(row))]
+            for r, row in enumerate(terms[0][1])
+        ],
+    )
 
 
 def unipotent_order_exp(M: PMatrix) -> int:

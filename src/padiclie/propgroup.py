@@ -16,11 +16,40 @@ sum (1 + T^u + ... + T^((p-1)u)) binomially, every middle term has a
 binomial coefficient divisible by p while the top term is (T^u - 1)^(p-1),
 and (T^u - 1) is a Z[T]-multiple of (T - 1).  That closed form is what
 `power_subgroup` computes.
+
+The group law itself rests on the same binomial step, the Mahler expansion
+that makes a -> M^a analytic.  The action M is unipotent mod p, so E = M - I
+satisfies E^k = pA for some k <= d - 1 (the nilpotency degree of E mod p) and
+an integral matrix A; hence v(E^j) >= floor(j/k), and E^K = 0 at precision
+p^N for some K <= kN.  For every integer a >= 0,
+
+    M^a = (I + E)^a = sum_{j<K} C(a, j) E^j,
+
+so each group keeps the table [E^0, ..., E^(K-1)], and a twist is a linear
+combination of it with no matrix product.  Powers take the same route: with
+T = M^a and F = T - I, the identity of polynomials in F
+
+    I + T + ... + T^(n-1) = ((I + F)^n - I) / F = sum_{j>=0} C(n, j+1) F^j
+
+holds over Z, and F = E times a polynomial in E, so F^K = 0: for a fiber
+vector x, x (I + T + ... + T^(n-1)) is a sum of at most K terms C(n, j+1) x F^j.
+
+Reducing exponents mod p^N needs M^(p^N) = I at precision.  By Kummer,
+v_p C(p^N, j) = N - v_p(j) for 1 <= j <= p^N, so the term C(p^N, j) E^j
+vanishes at precision whenever floor(j/k) >= v_p(j).  For k <= p this always
+holds: if v_p(j) = t >= 1 then j >= p^t and floor(j/k) >= p^(t-1) >= t.  As
+k is at most the fiber dimension, a fiber of dimension at most p gives
+M^(p^N) = I.  Above that it can fail: for a Jordan block I + J of size n > p
+the j = p term is alone on its superdiagonal with valuation N - 1, so
+M^(p^N) != I and reducing exponents mod p^N breaks associativity.
+`SemidirectGroup` therefore checks M^(p^N) = I with one binomial sum when it
+is built and rejects the action otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ContextMismatch, NotNormal, NotProP
 from .lattice import PotencyReport, PotencyStep
@@ -28,13 +57,16 @@ from .linalg import (
     BUDGET_SLACK,
     PMatrix,
     Span,
-    _nilpotency_degree_mod_p,
+    binomial_sum,
+    binomials,
     fixpoint,
-    unipotent_order_exp,
+    powers_to_zero,
     vec_add,
     vec_scale,
 )
 from .padic import PadicContext, PadicScalar
+
+TWIST_CACHE_SIZE = 256  # twists kept per group; a miss costs one binomial sum
 
 
 @dataclass(frozen=True)
@@ -47,22 +79,31 @@ class GroupElement:
 
 
 class SemidirectGroup:
-    """Z_p acting on Z_p^(d-1) through an invertible, unipotent-mod-p matrix."""
+    """Z_p acting on Z_p^(d-1) through an invertible, unipotent-mod-p matrix.
 
-    __slots__ = ("ctx", "fiber_dim", "action", "_twist_cache", "_order")
+    The action must have p-power order dividing p^N at precision, so that
+    exponents can be reduced mod p^N; the module docstring says when.
+    """
+
+    __slots__ = ("ctx", "fiber_dim", "action", "_twist_cache", "_powers")
 
     def __init__(self, ctx: PadicContext, action: PMatrix):
         if action.ctx != ctx:
             raise ContextMismatch("action matrix context differs")
         if action.rows != action.cols:
             raise ValueError("action matrix must be square")
-        if _nilpotency_degree_mod_p(action - PMatrix.identity(ctx, action.rows)) is None:
+        I = PMatrix.identity(ctx, action.rows)
+        # E^(d N) = 0 at p^N exactly when E = M - I is nilpotent mod p
+        powers = powers_to_zero(action - I, action.rows * ctx.precision)
+        if powers is None:
             raise NotProP("action matrix is not unipotent mod p")
+        if binomial_sum(powers, ctx.modulus) != I:
+            raise NotProP("action matrix has p-power order above p^N at this precision")
         self.ctx = ctx
         self.fiber_dim = action.rows
         self.action = action
         self._twist_cache: dict[int, PMatrix] = {}
-        self._order: int | None = None  # p-power order of the action at precision
+        self._powers = powers  # [E^0, ..., E^(K-1)] for E = M - I, with E^K = 0
 
     @property
     def dim(self) -> int:
@@ -83,13 +124,13 @@ class SemidirectGroup:
         return gens
 
     def twist(self, a: int) -> PMatrix:
-        """M^a for an exponent residue, through the p-power order at precision."""
+        """M^a for an exponent residue 0 <= a < p^N: the binomial sum of C(a, j) E^j."""
         a %= self.ctx.modulus
         m = self._twist_cache.get(a)
         if m is None:
-            if self._order is None:
-                self._order = self.ctx.p ** unipotent_order_exp(self.action)
-            m = self.action.pow(a % self._order)
+            m = binomial_sum(self._powers, a)
+            if len(self._twist_cache) >= TWIST_CACHE_SIZE:
+                del self._twist_cache[next(iter(self._twist_cache))]  # the oldest entry
             self._twist_cache[a] = m
         return m
 
@@ -111,33 +152,27 @@ class SemidirectGroup:
         """g^-1 h^-1 g h."""
         return self.mul(self.inv(self.mul(h, g)), self.mul(g, h))
 
-    def _geom_sum(self, T: PMatrix, n: int) -> PMatrix:
-        """I + T + ... + T^(n-1) in one pass over the bits of n.
-
-        Carries (S_k, T^k) with S_k = I + ... + T^(k-1), doubling by
-        S_2k = S_k + S_k T^k and stepping by S_(k+1) = S_k + T^k.
-        """
-        if n == 0:
-            return PMatrix.zero(self.ctx, self.fiber_dim)
-        s, tk = PMatrix.identity(self.ctx, self.fiber_dim), T  # k = 1, the leading bit
-        for bit in bin(n)[3:]:
-            s = s + s @ tk
-            tk = tk @ tk
-            if bit == "1":
-                s = s + tk
-                tk = tk @ T
-        return s
-
     def pow(self, g: GroupElement, n) -> GroupElement:
-        """g^n for an integer or p-adic exponent."""
+        """g^n for an integer or p-adic exponent.
+
+        The fiber part is v (I + T + ... + T^(n-1)) = sum_j C(n, j+1) v F^j
+        for T = M^a and F = T - I; F^K = 0, so at most K terms (module docstring).
+        """
         mod = self.ctx.modulus
         if isinstance(n, PadicScalar):
             n = n.value
         if n < 0:
             return self.pow(self.inv(g), -n)
-        T = self.twist(g.a)
-        s = self._geom_sum(T, n)
-        return GroupElement(n * g.a % mod, s.apply_row(g.v))
+        F = self.twist(g.a) - self._powers[0]
+        acc = (0,) * self.fiber_dim
+        w = g.v
+        for c in islice(binomials(n), 1, None):
+            if not any(w):
+                break
+            c %= mod
+            acc = tuple((x + c * y) % mod for x, y in zip(acc, w))
+            w = F.apply_row(w)
+        return GroupElement(n * g.a % mod, acc)
 
     def to_json(self) -> dict:
         return {
@@ -248,7 +283,7 @@ class SubgroupData:
 def _twist_closure(group: SemidirectGroup, S: Span, a: int) -> Span:
     """Closure of a fiber span under M^a and M^-a."""
     T = group.twist(a)
-    Ti = T.inverse()
+    Ti = group.twist(-a)  # M^(p^N) = I, checked when the group is built
     budget = 4 * group.ctx.precision * group.dim + BUDGET_SLACK
     return fixpoint(lambda cur: cur.sum(cur.image(T)).sum(cur.image(Ti)), S, budget)[-1]
 

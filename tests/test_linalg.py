@@ -1,10 +1,20 @@
+import math
 import random
+from itertools import islice
 
 import pytest
 
 from padiclie import PadicContext, PMatrix, Span, mat_exp, mat_log, mat_pow_padic
 from padiclie.errors import ClosureBudgetExceeded, ConvergenceViolated, NotContained, NotProP
-from padiclie.linalg import _series_bound, fixpoint, left_kernel, solve_over_rows
+from padiclie.linalg import (
+    _series_bound,
+    binomial_sum,
+    binomials,
+    fixpoint,
+    left_kernel,
+    powers_to_zero,
+    solve_over_rows,
+)
 
 
 def ctx5(n=4):
@@ -221,6 +231,49 @@ class TestMatrixFunctions:
         ctx = PadicContext(5, 3)
         A = PMatrix(ctx, [[1, 2], [3, 4]])
         assert PMatrix.from_json(ctx, A.to_json()) == A
+
+
+class TestBinomialSums:
+    def test_binomials_match_comb(self):
+        for n in (0, 1, 2, 7, 25):
+            assert list(binomials(n)) == [math.comb(n, j) for j in range(n + 1)]
+        big = 5**12 + 3
+        assert list(islice(binomials(big), 30)) == [math.comb(big, j) for j in range(30)]
+
+    def test_binomial_sum_against_square_and_multiply(self):
+        rng = random.Random(21)
+        for p, N, n in ((5, 6, 3), (3, 5, 3), (2, 6, 2), (7, 4, 4)):
+            ctx = PadicContext(p, N)
+            for _ in range(5):
+                # nilpotent mod p: strictly upper triangular plus p * noise
+                rows = [
+                    [rng.randrange(ctx.modulus) * (1 if j > i else p) for j in range(n)]
+                    for i in range(n)
+                ]
+                E = PMatrix(ctx, rows)
+                powers = powers_to_zero(E, n * N)
+                assert powers is not None and len(powers) <= n * N
+                assert (powers[-1] @ E).is_zero()
+                M = PMatrix.identity(ctx, n) + E
+                for a in [0, 1, 2, p, p**N - 1] + [rng.randrange(ctx.modulus) for _ in range(5)]:
+                    assert binomial_sum(powers, a) == M.pow(a), (p, a)
+
+    def test_powers_to_zero_rejects_non_nilpotent(self):
+        ctx = ctx5()
+        assert powers_to_zero(PMatrix(ctx, [[0, 1], [1, 0]]), 2 * ctx.precision) is None
+        assert powers_to_zero(PMatrix.zero(ctx, 2), 8) == [PMatrix.identity(ctx, 2)]
+
+    def test_apply_row(self):
+        ctx = ctx5()
+        rng = random.Random(22)
+        A = PMatrix(ctx, [[rng.randrange(ctx.modulus) for _ in range(3)] for _ in range(2)])
+        v = (rng.randrange(ctx.modulus), rng.randrange(ctx.modulus))
+        mod = ctx.modulus
+        expected = [(v[0] * A.entries[0][j] + v[1] * A.entries[1][j]) % mod for j in range(3)]
+        assert A.apply_row(v) == tuple(expected)
+        for bad in ((1,), (1, 2, 3)):
+            with pytest.raises(ValueError):
+                A.apply_row(bad)
 
 
 class TestFixpoint:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from padiclie import PadicContext, PMatrix, Span, mat_exp, mat_log
+from padiclie import PadicContext, PMatrix, Span, mat_exp, mat_log, mat_pow_padic
 from padiclie.bch import lie_from_matrix_group
 from padiclie.catalog import make_example_dim_p, make_thm73, thm73_fiber_matrix, thm73_grid
 from padiclie.classifier import classify, descriptors_equal
@@ -93,26 +93,42 @@ class TestGroupLaw:
         with pytest.raises(NotProP):
             SemidirectGroup(ctx, PMatrix(ctx, [[2]]))
 
+    @pytest.mark.parametrize(
+        "p, n, N, accepted",
+        [(2, 3, 6, False), (3, 4, 5, False), (5, 6, 4, False), (5, 4, 4, True)],
+    )
+    def test_requires_action_order_dividing_p_to_the_n(self, p, n, N, accepted):
+        # a Jordan block I + J of size n > p has p-power order above p^N
+        ctx = PadicContext(p, N)
+        M = PMatrix(ctx, [[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)])
+        assert (M.pow(p**N) == PMatrix.identity(ctx, n)) == accepted
+        mod = ctx.modulus
+
+        # the product with exponents reduced mod p^N, through plain matrix powers
+        def law(g, h):
+            v = M.pow(h[0]).apply_row(g[1])
+            return (g[0] + h[0]) % mod, tuple((x + y) % mod for x, y in zip(v, h[1]))
+
+        rng = random.Random(p * n * N)
+        triples = [
+            [(rng.randrange(mod), tuple(rng.randrange(mod) for _ in range(n))) for _ in range(3)]
+            for _ in range(50)
+        ]
+        associative = all(law(law(x, y), z) == law(x, law(y, z)) for x, y, z in triples)
+        assert associative == accepted
+        if accepted:
+            SemidirectGroup(ctx, M)
+        else:
+            with pytest.raises(NotProP):
+                SemidirectGroup(ctx, M)
+
 
 class TestFastPaths:
-    """The one-pass, once-per-group and cached routes against plain ones."""
+    """The binomial (Mahler) and cached routes against plain ones."""
 
     def groups(self):
         _, g3 = make_thm73(PadicContext(5, 8), "G3", {"s": 1, "r": 0, "d": 1})
         return [g3, example42(PadicContext(5, 4))]
-
-    def test_geom_sum_against_running_sum(self):
-        for g in self.groups():
-            ctx = g.ctx
-            T = g.twist(7)
-            running = PMatrix.zero(ctx, g.fiber_dim)
-            power = PMatrix.identity(ctx, g.fiber_dim)
-            checkpoints = {0, 1, 2, 3, 7, 8, 100, 12345}
-            for n in range(max(checkpoints) + 1):
-                if n in checkpoints:
-                    assert g._geom_sum(T, n) == running, n
-                running = running + power
-                power = power @ T
 
     def test_pow_against_repeated_products(self):
         rng = random.Random(11)
@@ -135,25 +151,48 @@ class TestFastPaths:
     def test_twist_against_unreduced_power(self):
         rng = random.Random(13)
         for g in self.groups():
-            for a in [0, 1] + [rng.randrange(g.ctx.modulus) for _ in range(20)]:
-                assert g.twist(a) == g.action.pow(a), a
+            for a in [0, 1, -1, -7] + [rng.randrange(g.ctx.modulus) for _ in range(20)]:
+                assert g.twist(a) == g.action.pow(a) == mat_pow_padic(g.action, a), a
 
-    def test_order_found_once_per_group(self, monkeypatch):
+    def test_twist_miss_makes_no_matmul(self, monkeypatch):
+        groups = self.groups()  # the tables of E^j are built here
         calls = []
-        original = propgroup.unipotent_order_exp
+        original = PMatrix.__matmul__
 
-        def counted(M, *args, **kwargs):
-            calls.append(M)
-            return original(M, *args, **kwargs)
+        def counted(self, other):
+            calls.append(self)
+            return original(self, other)
 
-        monkeypatch.setattr(propgroup, "unipotent_order_exp", counted)
+        monkeypatch.setattr(PMatrix, "__matmul__", counted)
         rng = random.Random(14)
-        for g in self.groups():
-            calls.clear()
+        for g in groups:
             for a in rng.sample(range(g.ctx.modulus), 50):
-                g.mul(random_element(g, rng), g.element(a, (1,) * g.fiber_dim))
-            assert len(g._twist_cache) == 50
-            assert calls == [g.action]
+                assert a % g.ctx.modulus not in g._twist_cache
+                g.twist(a)
+        assert calls == []
+
+    def test_pow_against_square_and_multiply(self):
+        rng = random.Random(17)
+        for g in self.groups():
+            x = random_element(g, rng)
+            uniform = [rng.randrange(g.ctx.modulus) for _ in range(10)]
+            for n in [0, 1, 2, 3, 7, 8, 100, 12345] + uniform:
+                acc, base, k = g.identity_element(), x, n
+                while k:
+                    if k & 1:
+                        acc = g.mul(acc, base)
+                    base = g.mul(base, base)
+                    k >>= 1
+                assert g.pow(x, n) == acc, n
+
+    def test_twist_cache_is_bounded(self):
+        rng = random.Random(18)
+        for g in self.groups():
+            mod = g.ctx.modulus
+            for a in rng.sample(range(mod), min(1000, mod)):  # 625 residues at p = 5, N = 4
+                g.twist(a)
+                assert len(g._twist_cache) <= propgroup.TWIST_CACHE_SIZE
+            assert len(g._twist_cache) == propgroup.TWIST_CACHE_SIZE
 
     def test_cached_fiber_intersection_matches_recomputation(self):
         rng = random.Random(15)
