@@ -11,7 +11,7 @@ for p >= 5 on matrices whose square vanishes mod p, with truncation bounds
 computed from p and N rather than hard-coded), p-adic powers of
 unipotent-mod-p matrices, their binomial (Mahler) sums over a table of powers
 of M - I, and `fixpoint`, the one budgeted iteration behind
-every series and closure in the package: a budget overrun raises
+every series and lattice closure in the package: a budget overrun raises
 `ClosureBudgetExceeded`.
 """
 

@@ -17,8 +17,39 @@ binomial coefficient divisible by p while the top term is (T^u - 1)^(p-1),
 and (T^u - 1) is a Z[T]-multiple of (T - 1).  That closed form is what
 `power_subgroup` computes.
 
-The group law itself rests on the same binomial step, the Mahler expansion
-that makes a -> M^a analytic.  The action M is unipotent mod p, so E = M - I
+Normal closures and commutators have closed forms of the same kind.  For any
+subgroup U, the normal closure is U^G = U[U, G]: [U, G] is normal in
+<U, G> = G, so U[U, G] is a subgroup; it is normal because u^g = u[u, g];
+and any normal subgroup containing U contains every [u, g].  G/F = Z_p is
+abelian, so [U, G] lies in the fiber F, and a fiber subgroup is normal
+exactly when its span is M-invariant (conjugation by x = (1, 0) is v -> vM,
+and the fiber is abelian).  In a finite group, [<X>, <Y>] is the normal
+closure in <X, Y> of the commutators [X, Y]; take X the generators of
+U = (w, F_U) with w = (a, v_w), and Y those of G, x and the fiber basis.
+With [g, h] = g^-1 h^-1 g h and T = M^a, the commutators are
+
+    [(0, f), x]     = (0, f (M - I))         for f in F_U,
+    [w, x]          = (0, v_w (M - I)),
+    [w, (0, e)]     = (0, -e (T - I))        for e in the fiber,
+    [(0, f), (0, e)] = 1,
+
+the inverse generators giving the same spans.  Hence [U, G] is the fiber
+subgroup whose span is the M-invariant span generated by F_U (M - I),
+v_w (M - I) and F (T - I); `commutator_subgroup` computes it, and
+`normal_closure` returns the witness w with fiber F_U + [U, G].
+
+Every invariant span in this module comes from one step.  A span S is closed
+under M^a and M^-a exactly when it is closed under F = M^a - I: as
+M^(p^N) = I (below), M^-a is a power of M^a, and S M^a = S + S F.  The least
+F-invariant span containing S is spanned by the rows of S, S F, S F^2, ...;
+by Cayley-Hamilton over Z/p^N, F^n is a combination of I, F, ..., F^(n-1)
+for the fiber dimension n, so the batches up to S F^(n-1) suffice.  F is
+(M - I) times a polynomial in M - I, so F^K = 0 for the K below as well,
+and the list also ends at the first all-zero batch.  The same step with
+F = M - I gives the M-invariant span of [U, G].
+
+The group law itself rests on the binomial step of `power_subgroup`, the
+Mahler expansion that makes a -> M^a analytic.  The action M is unipotent mod p, so E = M - I
 satisfies E^k = pA for some k <= d - 1 (the nilpotency degree of E mod p) and
 an integral matrix A; hence v(E^j) >= floor(j/k), and E^K = 0 at precision
 p^N for some K <= kN.  For every integer a >= 0,
@@ -280,12 +311,22 @@ class SubgroupData:
         )
 
 
+def _invariant_span(group: SemidirectGroup, rows, F: PMatrix) -> Span:
+    """Least F-invariant fiber span containing the rows: the span of S, S F, ...,
+    S F^(n-1) for fiber dimension n, cut at the first all-zero batch (module docstring)."""
+    rows = list(rows)
+    batch = rows
+    for _ in range(group.fiber_dim - 1):
+        batch = [w for w in map(F.apply_row, batch) if any(w)]
+        if not batch:
+            break
+        rows.extend(batch)
+    return Span(group.ctx, group.fiber_dim, rows)
+
+
 def _twist_closure(group: SemidirectGroup, S: Span, a: int) -> Span:
-    """Closure of a fiber span under M^a and M^-a."""
-    T = group.twist(a)
-    Ti = group.twist(-a)  # M^(p^N) = I, checked when the group is built
-    budget = 4 * group.ctx.precision * group.dim + BUDGET_SLACK
-    return fixpoint(lambda cur: cur.sum(cur.image(T)).sum(cur.image(Ti)), S, budget)[-1]
+    """Closure of a fiber span under M^a and M^-a: its (M^a - I)-invariant span."""
+    return _invariant_span(group, S.rows, group.twist(a) - group._powers[0])
 
 
 def generated_subgroup(group: SemidirectGroup, gens) -> SubgroupData:
@@ -311,8 +352,8 @@ def generated_subgroup(group: SemidirectGroup, gens) -> SubgroupData:
         rest = group.mul(group.inv(group.pow(witness, lam)), g)
         assert rest.a % mod == 0
         fiber_vectors.append(rest.v)
-    fiber = _twist_closure(group, Span(ctx, group.fiber_dim, fiber_vectors), witness.a)
-    return SubgroupData(group, witness, fiber)
+    # SubgroupData closes the fiber under the witness twist
+    return SubgroupData(group, witness, Span(ctx, group.fiber_dim, fiber_vectors))
 
 
 def full_subgroup(group: SemidirectGroup) -> SubgroupData:
@@ -320,27 +361,25 @@ def full_subgroup(group: SemidirectGroup) -> SubgroupData:
 
 
 def normal_closure(U: SubgroupData) -> SubgroupData:
-    """Closure of U under conjugation by the standard generators."""
-    group = U.group
-    std = group.standard_generators()
-    std = std + [group.inv(g) for g in std]
-
-    def step(cur):
-        gens = cur.generators()
-        return generated_subgroup(group, gens + [group.conj(g, h) for g in gens for h in std])
-
-    return fixpoint(step, U, 4 * group.ctx.precision * group.dim + BUDGET_SLACK)[-1]
+    """U^G = U[U, G]: U's witness, with fiber F_U + [U, G] (module docstring)."""
+    return SubgroupData(U.group, U.witness, U.fiber.sum(commutator_subgroup(U).fiber))
 
 
 def join(U: SubgroupData, V: SubgroupData) -> SubgroupData:
     return generated_subgroup(U.group, U.generators() + V.generators())
 
 
-def commutator_subgroup(U: SubgroupData, V: SubgroupData) -> SubgroupData:
-    """Normal closure of the pairwise generator commutators [U, V]."""
+def commutator_subgroup(U: SubgroupData) -> SubgroupData:
+    """[U, G], a fiber subgroup: the M-invariant span of F_U (M - I),
+    v_w (M - I) and F (M^(a_w) - I) for U's witness (a_w, v_w) (module docstring)."""
     group = U.group
-    comms = [group.comm(g, h) for g in U.generators() for h in V.generators()]
-    return normal_closure(generated_subgroup(group, comms))
+    I = group._powers[0]
+    E = group.action - I
+    rows = [E.apply_row(f) for f in U.fiber.rows]
+    if U.witness is not None:
+        rows.append(E.apply_row(U.witness.v))
+        rows.extend((group.twist(U.witness.a) - I).entries)
+    return SubgroupData(group, None, _invariant_span(group, rows, E))
 
 
 def power_subgroup(U: SubgroupData) -> SubgroupData:
@@ -351,10 +390,11 @@ def power_subgroup(U: SubgroupData) -> SubgroupData:
     pF = U.fiber.scale(p)
     if U.witness is None:
         return SubgroupData(group, None, pF)
-    T = group.twist(U.witness.a)
-    E = T - PMatrix.identity(ctx, group.fiber_dim)
-    deep = U.fiber.image(E.pow(p - 1))
-    fiber = _twist_closure(group, pF.sum(deep), U.witness.a)
+    F = group.twist(U.witness.a) - group._powers[0]
+    deep = U.fiber.rows
+    for _ in range(p - 1):
+        deep = [F.apply_row(r) for r in deep]
+    fiber = _twist_closure(group, pF.sum(Span(ctx, group.fiber_dim, deep)), U.witness.a)
     return SubgroupData(group, group.pow(U.witness, p), fiber)
 
 
@@ -371,24 +411,23 @@ def _series(group: SemidirectGroup, first: SubgroupData, step) -> list[SubgroupD
 
 def gamma_series(group: SemidirectGroup) -> list[SubgroupData]:
     """gamma_1 = G, gamma_{i+1} = [gamma_i, G], to stabilisation at precision."""
-    full = full_subgroup(group)
-    return _series(group, full, lambda U: commutator_subgroup(U, full))
+    return _series(group, full_subgroup(group), commutator_subgroup)
 
 
 def lower_p_series_group(group: SemidirectGroup) -> list[SubgroupData]:
     """G_1 = G, G_{i+1} = [G_i, G] G_i^p, to stabilisation at precision."""
-    full = full_subgroup(group)
 
     def step(U):
-        return normal_closure(join(commutator_subgroup(U, full), power_subgroup(U)))
+        # [U, G] is normal, and U^p is characteristic in the normal U: the join is normal
+        return join(commutator_subgroup(U), power_subgroup(U))
 
-    return _series(group, full, step)
+    return _series(group, full_subgroup(group), step)
 
 
 def frattini_p(group: SemidirectGroup) -> SubgroupData:
     """Phi(G) = G^p [G, G]."""
     full = full_subgroup(group)
-    return normal_closure(join(power_subgroup(full), commutator_subgroup(full, full)))
+    return join(power_subgroup(full), commutator_subgroup(full))  # both factors are normal
 
 
 def frattini_p_power(group: SemidirectGroup) -> SubgroupData:
@@ -416,7 +455,6 @@ def check_gamma_p_in_phi_p(group: SemidirectGroup) -> GammaPhiReport:
 
 def verify_group_potent_filtration(group: SemidirectGroup, chain) -> PotencyReport:
     """Stepwise potency certificate for a given chain of normal subgroups."""
-    full = full_subgroup(group)
     std = group.standard_generators()
     for U in chain:
         for g in U.generators():
@@ -426,11 +464,11 @@ def verify_group_potent_filtration(group: SemidirectGroup, chain) -> PotencyRepo
     p = group.ctx.p
     steps = []
     for i in range(len(chain) - 1):
-        comm = commutator_subgroup(chain[i], full)
+        comm = commutator_subgroup(chain[i])
         step_ok = chain[i + 1].contains(comm)
         deep = chain[i]
         for _ in range(p - 1):
-            deep = commutator_subgroup(deep, full)
+            deep = commutator_subgroup(deep)
         deep_ok = power_subgroup(chain[i + 1]).contains(deep)
         steps.append(PotencyStep(i + 1, step_ok, deep_ok))
     terminal_ok = chain[-1].is_trivial()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from padiclie.cli import main
+from padiclie.cli import FIXTURES, main
 
 
 def run(capsys, *argv):
@@ -72,6 +72,28 @@ class TestVerify:
         assert code == 2
         assert "p >= 5" in err
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "fixture, n",
+        [("example-4.2", 1), ("example-4.7", 1), ("insoluble", 1), ("thm73-grid", 1), ("p2-groups", 3)],
+    )
+    def test_below_minimum_precision_is_bad_input(self, capsys, fixture, n):
+        # these used to print FAIL and exit 1: the invariants vanish at that precision
+        code, out, err = run(capsys, "verify", fixture, "--p", "5", "--N", str(n))
+        assert code == 2
+        assert f"{fixture} needs N >= {FIXTURES[fixture][1]}, got N = {n}" in err
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_small_parameter_sweep(self, capsys, fixture):
+        min_n = FIXTURES[fixture][1]
+        problems = []
+        for p in (3, 5, 7):
+            for n in (1, 2, 3):
+                code, _, err = run(capsys, "verify", fixture, "--p", str(p), "--N", str(n))
+                if code not in (0, 1, 2) or "Traceback" in err or (n < min_n and code != 2):
+                    problems.append((p, n, code, err[-200:]))
+        assert not problems
 
     def test_unknown_fixture(self, capsys):
         code, _, err = run(capsys, "verify", "no-such-fixture")

@@ -1,23 +1,33 @@
 import random
+from contextlib import contextmanager
+from functools import lru_cache
 
 import pytest
 
 from padiclie import PadicContext, PMatrix, Span, mat_exp, mat_log, mat_pow_padic
 from padiclie.bch import lie_from_matrix_group
-from padiclie.catalog import make_example_dim_p, make_thm73, thm73_fiber_matrix, thm73_grid
+from padiclie.catalog import (
+    make_example_dim_p,
+    make_p2_groups,
+    make_thm73,
+    thm73_fiber_matrix,
+    thm73_grid,
+)
 from padiclie.classifier import classify, descriptors_equal
 from padiclie.errors import NotNormal, NotProP
-from padiclie.linalg import solve_over_rows
+from padiclie.linalg import fixpoint, solve_over_rows
 from padiclie import propgroup
 from padiclie.propgroup import (
     SemidirectGroup,
     check_gamma_p_in_phi_p,
+    commutator_subgroup,
     frattini_p,
     frattini_p_power,
     full_subgroup,
     gamma_series,
     generated_subgroup,
     lower_p_series_group,
+    normal_closure,
     power_subgroup,
     verify_group_potent_filtration,
 )
@@ -208,14 +218,173 @@ class TestFastPaths:
                 deep = g.pow(U.witness, ctx.p ** (ctx.precision - e))
                 assert deep.a % ctx.modulus == 0
                 S = U.fiber.sum(Span(ctx, g.fiber_dim, [deep.v]))
-                T = g.twist(U.witness.a)
-                Ti = T.inverse()
-                while True:
-                    nxt = S.sum(S.image(T)).sum(S.image(Ti))
-                    if nxt == S:
-                        break
-                    S = nxt
-                assert first == S
+                assert first == fixpoint_twist_closure(g, S, U.witness.a)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point routes that the closed forms in propgroup replaced, kept as
+# oracles: generator commutators, a normal-closure loop and a T/T^-1 closure loop
+# ---------------------------------------------------------------------------
+
+
+def fixpoint_twist_closure(group, S, a):
+    """Closure of a fiber span under M^a and M^-a, iterated to a fixed point."""
+    T = group.twist(a)
+    Ti = T.inverse()
+    while True:
+        nxt = S.sum(S.image(T)).sum(S.image(Ti))
+        if nxt == S:
+            return S
+        S = nxt
+
+
+def fixpoint_normal_closure(U):
+    """Closure of U under conjugation by the standard generators and their inverses."""
+    group = U.group
+    std = group.standard_generators()
+    std += [group.inv(h) for h in std]
+    while True:
+        gens = U.generators()
+        nxt = generated_subgroup(group, gens + [group.conj(g, h) for g in gens for h in std])
+        if nxt == U:
+            return U
+        U = nxt
+
+
+def generator_commutator_subgroup(U):
+    """[U, G]: the normal closure of the commutators of U's and G's generators."""
+    group = U.group
+    comms = [group.comm(u, h) for u in U.generators() for h in group.standard_generators()]
+    return fixpoint_normal_closure(generated_subgroup(group, comms))
+
+
+@contextmanager
+def fixpoint_routes():
+    """Inside this context every split-form subgroup is closed by the fixed-point loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propgroup, "_twist_closure", fixpoint_twist_closure)
+        yield
+
+
+def same_subgroup(U, V):
+    """Equality from the split form: depth, fiber intersection, each witness in the other."""
+    if U.h_valuation != V.h_valuation or U.fiber_intersection() != V.fiber_intersection():
+        return False
+    return all(X.witness is None or Y.contains_element(X.witness) for X, Y in ((U, V), (V, U)))
+
+
+ORACLE_GROUPS = ("grid", "dim-p", "p2")
+
+
+@lru_cache(maxsize=None)
+def oracle_groups(which):
+    """The Theorem-7.3 grid at p = 5, N = 8; the dimension-p group at p = 5, N = 4;
+    the six p = 2 groups at N = 8."""
+    if which == "grid":
+        ctx = PadicContext(5, 8)
+        return [make_thm73(ctx, fam, params)[1] for _, fam, params in thm73_grid(ctx, (0, 1), (0, 1))]
+    if which == "dim-p":
+        return [example42(PadicContext(5, 4))]
+    ctx = PadicContext(2, 8)
+    return [make_p2_groups(ctx, sign, s) for sign in "+-" for s in (2, 3, 4)]
+
+
+def sample_subgroups(g, rng):
+    """Trivial, full and fiber-only subgroups, and witnesses of valuation 0, 1 and 2."""
+    ctx = g.ctx
+    p, mod = ctx.p, ctx.modulus
+
+    def vec(scale=1):
+        return tuple(scale * rng.randrange(mod) % mod for _ in range(g.fiber_dim))
+
+    out = [generated_subgroup(g, []), full_subgroup(g)]
+    out.append(generated_subgroup(g, [g.element(0, vec())]))
+    out.append(generated_subgroup(g, [g.element(0, vec(p)), g.element(0, vec(p * p))]))
+    for e in (0, 1, 2):
+        unit = rng.choice([u for u in range(1, 4 * p) if u % p])
+        a = p**e * unit
+        out.append(generated_subgroup(g, [g.element(a, (0,) * g.fiber_dim)]))
+        out.append(generated_subgroup(g, [g.element(a, vec())]))
+        out.append(generated_subgroup(g, [g.element(a, vec(p)), g.element(0, vec(p))]))
+    return out
+
+
+@lru_cache(maxsize=None)
+def oracle_cases(which):
+    """(group, subgroup, [U, G], U^G) with every entry built by the fixed-point routes."""
+    rng = random.Random(ORACLE_GROUPS.index(which))
+    cases = []
+    with fixpoint_routes():
+        for g in oracle_groups(which):
+            for U in sample_subgroups(g, rng):
+                comm = generator_commutator_subgroup(U)
+                closure = fixpoint_normal_closure(U)
+                for V in (U, comm, closure):
+                    V.fiber_intersection()  # cached on the subgroup, so computed here
+                cases.append((g, U, comm, closure))
+    return cases
+
+
+class TestClosedForms:
+    """commutator_subgroup, normal_closure and _twist_closure against the fixed-point routes."""
+
+    @pytest.mark.parametrize("which", ORACLE_GROUPS)
+    def test_commutator_subgroup_matches_generator_commutators(self, which):
+        for g, U, comm, _ in oracle_cases(which):
+            got = commutator_subgroup(U)
+            assert got.witness is None
+            assert same_subgroup(got, comm), U
+
+    @pytest.mark.parametrize("which", ORACLE_GROUPS)
+    def test_normal_closure_matches_fixpoint(self, which):
+        moved = 0
+        for g, U, _, closure in oracle_cases(which):
+            assert same_subgroup(normal_closure(U), closure), U
+            moved += not same_subgroup(U, closure)
+        assert moved  # the sample holds subgroups that are not normal
+
+    @pytest.mark.parametrize("which", ORACLE_GROUPS)
+    def test_twist_closure_matches_fixpoint(self, which):
+        rng = random.Random(21)
+        for g in oracle_groups(which):
+            ctx = g.ctx
+            p, mod = ctx.p, ctx.modulus
+            for e in (0, 1, 2):
+                a = p**e * rng.choice([u for u in range(1, 4 * p) if u % p])
+                for scales in ((1,), (p,), (1, p * p), (p, p)):
+                    rows = [[s * rng.randrange(mod) % mod for _ in range(g.fiber_dim)] for s in scales]
+                    S = Span(ctx, g.fiber_dim, rows)
+                    assert propgroup._twist_closure(g, S, a) == fixpoint_twist_closure(g, S, a)
+
+    @pytest.mark.parametrize("which", ORACLE_GROUPS)
+    def test_series_joins_are_already_normal(self, which):
+        # lower_p_series_group and frattini_p return joins of normal subgroups unclosed
+        for g in oracle_groups(which):
+            terms = lower_p_series_group(g) + [frattini_p(g)]
+            with fixpoint_routes():
+                closures = [fixpoint_normal_closure(X) for X in terms]
+                for V in closures:
+                    V.fiber_intersection()
+            for X, V in zip(terms, closures):
+                assert same_subgroup(X, V), X
+
+    def test_closed_forms_run_no_fixpoint(self, monkeypatch):
+        calls = []
+
+        def counted(step, start, budget):
+            calls.append(step)
+            return fixpoint(step, start, budget)
+
+        monkeypatch.setattr(propgroup, "fixpoint", counted)
+        for which in ORACLE_GROUPS:
+            for g, U, _, _ in oracle_cases(which)[:20]:
+                commutator_subgroup(U)
+                normal_closure(U)
+                if U.witness is not None:
+                    propgroup._twist_closure(g, U.fiber, U.witness.a)
+        assert calls == []
+        gamma_series(oracle_groups("dim-p")[0])  # the series still iterate, through the counter
+        assert calls
 
 
 class TestSubgroups:
