@@ -19,6 +19,7 @@ from .bch import evaluate_words, hausdorff_table
 from .classifier import SimilarityDescriptor, classify, descriptors_equal
 from .errors import (
     BadParameter,
+    ContextMismatch,
     NotDim3,
     NotSoluble,
     PrecisionExhausted,
@@ -453,24 +454,6 @@ class IsoCertificate:
         ]
 
 
-def _dim3_invariant(L: Lattice):
-    """('abelian',) | ('heisenberg', s) | ('action', descriptor).
-
-    The branch follows the structure of the derived span: central means
-    nilpotent type with the derived size as invariant; otherwise the class
-    is the multiplicative-similarity descriptor of the action on the unique
-    2-dimensional abelian ideal.
-    """
-    derived = L.bracket_span(L.full_span(), L.full_span())
-    if derived.is_zero():
-        return ("abelian",)
-    if L.bracket_span(L.full_span(), derived).is_zero():
-        if derived.structural_rank() != 1:
-            raise PrecisionExhausted("central derived span of rank > 1 in dimension 3")
-        return ("heisenberg", L.ctx.precision - derived.size_exp())
-    return ("action", classify(action_matrix_on_abelian_ideal(L)))
-
-
 def _ideal_basis_and_complement(L: Lattice, w1, w2):
     ctx = L.ctx
     for j in range(3):
@@ -512,10 +495,10 @@ def _at_precision(L: Lattice, vectors, precision: int):
     return Lt, [tuple(e % mod for e in v) for v in vectors]
 
 
-def action_matrix_on_abelian_ideal(L: Lattice) -> PMatrix:
+def action_matrix_on_abelian_ideal(L: Lattice, derived: Span) -> PMatrix:
     """The fiber action on the unique 2-dimensional abelian ideal.
 
-    The elementary-divisor generators of the derived span are honest only
+    `derived` is [L, L].  Its elementary-divisor generators are honest only
     modulo p^(N - e), and a centraliser kernel only modulo the depth of the
     bracket pairing, so each stage truncates to its determination precision
     before proceeding; the matrix is returned in the truncated context and
@@ -523,7 +506,6 @@ def action_matrix_on_abelian_ideal(L: Lattice) -> PMatrix:
     digits.
     """
     ctx = L.ctx
-    derived = L.bracket_span(L.full_span(), L.full_span())
     profile = derived.structural_profile()
     if len(profile) == 2:
         e_max = max(e for e, _ in profile)
@@ -543,15 +525,64 @@ def action_matrix_on_abelian_ideal(L: Lattice) -> PMatrix:
     return _action_from_ideal_basis(L2, w1, w2)
 
 
+def _require_dim3_soluble(L: Lattice):
+    if L.dim != 3:
+        raise NotDim3(f"the dimension-3 invariant needs a 3-dimensional lattice, got {L.dim}")
+    if not L.is_soluble():
+        raise NotSoluble("the dimension-3 invariant needs a lattice soluble at precision")
+
+
+def _store_dim3_invariant(L: Lattice):
+    """Determine the invariant of a checked lattice and keep it in its slot.
+
+    The branch follows the structure of the derived span: central means
+    nilpotent type with the derived size as invariant; otherwise the class
+    is the multiplicative-similarity descriptor of the action on the unique
+    2-dimensional abelian ideal.  A `PrecisionExhausted` leaves the slot
+    empty.
+    """
+    full = L.full_span()
+    derived = L.bracket_span(full, full)
+    if derived.is_zero():
+        inv = ("abelian",)
+    elif L.bracket_span(full, derived).is_zero():
+        if derived.structural_rank() != 1:
+            raise PrecisionExhausted("central derived span of rank > 1 in dimension 3")
+        inv = ("heisenberg", L.ctx.precision - derived.size_exp())
+    else:
+        inv = ("action", classify(action_matrix_on_abelian_ideal(L, derived)))
+    L.dim3_invariant = inv
+    return inv
+
+
+def dim3_invariant(L: Lattice):
+    """('abelian',) | ('heisenberg', s) | ('action', descriptor), once per lattice.
+
+    Raises NotDim3 or NotSoluble for a lattice outside the classification.
+    Two lattices over the same prime are isomorphic at precision exactly when
+    their invariants have the same branch and equal values, descriptors
+    compared with `descriptors_equal`.
+    """
+    if L.dim3_invariant is None:
+        _require_dim3_soluble(L)
+        _store_dim3_invariant(L)
+    return L.dim3_invariant
+
+
 def iso_test_3dim(L1: Lattice, L2: Lattice) -> IsoCertificate:
-    """Isomorphism of 3-dimensional soluble lattices via the classifier."""
-    for L in (L1, L2):
-        if L.dim != 3:
-            raise NotDim3("both lattices must have dimension 3")
-        if not L.is_soluble():
-            raise NotSoluble("both lattices must be soluble at precision")
-    inv1 = _dim3_invariant(L1)
-    inv2 = _dim3_invariant(L2)
+    """Isomorphism of 3-dimensional soluble lattices: a comparison of invariants.
+
+    Both lattices are checked before either invariant is computed, and a
+    lattice whose invariant is stored has passed those checks already.
+    """
+    pending = [L for L in ((L1,) if L1 is L2 else (L1, L2)) if L.dim3_invariant is None]
+    for L in pending:
+        _require_dim3_soluble(L)
+    if L1.ctx.p != L2.ctx.p:
+        raise ContextMismatch(f"lattices over different primes: {L1.ctx.p} and {L2.ctx.p}")
+    for L in pending:
+        _store_dim3_invariant(L)
+    inv1, inv2 = L1.dim3_invariant, L2.dim3_invariant
     if inv1[0] != inv2[0]:
         return IsoCertificate(False, f"{inv1[0]}/{inv2[0]}", inv1, inv2)
     if inv1[0] == "abelian":

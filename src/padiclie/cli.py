@@ -248,19 +248,22 @@ def _verify_classifier_oracle(args) -> int:
     rep = full_orbit_partition(p, k)
     orbits = set(rep.values())
     desc_by_orbit = {}
+    canonical = {}  # descriptor key -> its canonical matrix as an entry tuple
     agree = True
     constant = True
     for m, r in rep.items():
-        A = PMatrix(ctx, [[m[0], m[1]], [m[2], m[3]]])
+        A = PMatrix._reduced(ctx, [[m[0], m[1]], [m[2], m[3]]])  # entries are residues mod p^k
         d = classify(A, strict=False)
-        cm = canonical_matrix(d, ctx)
-        q = ctx.modulus
-        cmt = (cm.entries[0][0] % q, cm.entries[0][1] % q, cm.entries[1][0] % q, cm.entries[1][1] % q)
+        key = d.key()
+        cmt = canonical.get(key)
+        if cmt is None:
+            cm = canonical_matrix(d, ctx)
+            cmt = canonical[key] = tuple(e for row in cm.entries for e in row)
         if rep[cmt] != r:
             agree = False
-        if r in desc_by_orbit and desc_by_orbit[r] != d.key():
+        if r in desc_by_orbit and desc_by_orbit[r] != key:
             constant = False
-        desc_by_orbit[r] = d.key()
+        desc_by_orbit[r] = key
     injective = len(set(desc_by_orbit.values())) == len(orbits)
     c = Checks()
     c.add(f"canonical representative lies in the orbit (all {len(rep)} matrices)", agree)

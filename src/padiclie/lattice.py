@@ -25,7 +25,6 @@ from .linalg import (
     isolated_kernel,
     structural_profile,
     vec_add,
-    vec_scale,
 )
 from .padic import PadicContext
 
@@ -37,11 +36,12 @@ class Lattice:
     checks antisymmetry and the Jacobi identity on all basis triples.
     """
 
-    __slots__ = ("ctx", "dim", "labels", "constants", "bch_class")
+    __slots__ = ("ctx", "dim", "labels", "constants", "bch_class", "dim3_invariant")
 
     def __init__(self, ctx: PadicContext, constants, labels=None, validate=True):
         self.ctx = ctx
         self.bch_class: int | None = None  # set by bch.nilpotency_class_checked
+        self.dim3_invariant: tuple | None = None  # set by catalog.dim3_invariant
         self.dim = len(constants)
         mod = ctx.modulus
         self.constants = tuple(
@@ -281,22 +281,9 @@ class Lattice:
         if P.ctx != self.ctx:
             raise ContextMismatch("basis change matrix context differs")
         Pinv = P.inverse()
-        mod = self.ctx.modulus
-        new_constants = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                w = (0,) * self.dim
-                for k in range(self.dim):
-                    a = P.entries[i][k]
-                    if not a:
-                        continue
-                    for l in range(self.dim):
-                        b = P.entries[j][l]
-                        if b:
-                            w = vec_add(w, vec_scale(a * b, self.constants[k][l], mod), mod)
-                row.append(Pinv.apply_row(w))
-            new_constants.append(row)
+        new_constants = [
+            [Pinv.apply_row(self.bracket(u, v)) for v in P.entries] for u in P.entries
+        ]
         return Lattice(self.ctx, new_constants, self.labels, validate=False)
 
     def direct_sum(self, other: "Lattice") -> "Lattice":

@@ -332,12 +332,23 @@ class Span:
         self.pivots = tuple((c, ctx.val(r[c])) for c, r in pivot_rows)
 
     @classmethod
+    def _canonical(cls, ctx: PadicContext, dim: int, rows, pivots) -> "Span":
+        """Wrap rows and pivots already in canonical form, skipping elimination."""
+        s = cls.__new__(cls)
+        s.ctx = ctx
+        s.dim = dim
+        s.rows = rows
+        s.pivots = pivots
+        return s
+
+    @classmethod
     def zero(cls, ctx, dim):
-        return cls(ctx, dim)
+        return cls._canonical(ctx, dim, (), ())
 
     @classmethod
     def full(cls, ctx, dim):
-        return cls(ctx, dim, [[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
+        rows = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
+        return cls._canonical(ctx, dim, rows, tuple((i, 0) for i in range(dim)))
 
     def _check(self, other):
         if self.ctx != other.ctx or self.dim != other.dim:

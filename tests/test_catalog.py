@@ -3,10 +3,13 @@ import random
 import pytest
 
 from padiclie import PadicContext, PMatrix, mat_log
+from padiclie import catalog
 from padiclie.catalog import (
     CATALOG_MANIFEST,
     abelianization_torsion_exp,
+    action_matrix_on_abelian_ideal,
     check_levi_example,
+    dim3_invariant,
     iso_test_3dim,
     make_2dim,
     make_example_dim_p,
@@ -19,7 +22,16 @@ from padiclie.catalog import (
     thm73_grid,
 )
 from padiclie.classifier import classify, descriptors_equal
-from padiclie.errors import BadParameter, NotDim3, NotSoluble, ResidualNilpotenceViolated
+from padiclie.errors import (
+    BadParameter,
+    ContextMismatch,
+    NotDim3,
+    NotSoluble,
+    PrecisionExhausted,
+    ResidualNilpotenceViolated,
+)
+from padiclie.lattice import Lattice
+from padiclie.linalg import Span
 
 
 class TestTwoDim:
@@ -257,6 +269,147 @@ class TestIso:
         ctx = PadicContext(5, 6)
         with pytest.raises(NotDim3):
             iso_test_3dim(make_2dim(ctx, 1)[0], make_2dim(ctx, 1)[0])
+
+    @pytest.mark.parametrize("family, params", [("G1", {"s": 1}), ("G0", {"s": 1})])
+    def test_different_primes_raise(self, family, params):
+        a, _ = make_thm73(PadicContext(5, 12), family, params)
+        b, _ = make_thm73(PadicContext(7, 12), family, params)
+        with pytest.raises(ContextMismatch):
+            iso_test_3dim(a, b)
+        # also once both invariants are stored
+        dim3_invariant(a)
+        dim3_invariant(b)
+        with pytest.raises(ContextMismatch):
+            iso_test_3dim(b, a)
+
+    def test_different_precisions_compare(self):
+        # descriptors compare d at the common determined precision
+        other, _ = make_thm73(PadicContext(5, 9), "G1", {"s": 2})
+        for family, params in (("G1", {"s": 1}), ("G3", {"s": 1, "r": 0, "d": 1})):
+            a, _ = make_thm73(PadicContext(5, 12), family, params)
+            b, _ = make_thm73(PadicContext(5, 9), family, params)
+            assert iso_test_3dim(a, b).isomorphic
+            assert not iso_test_3dim(a, other).isomorphic
+
+
+def _uncached_invariant(L):
+    """The invariant by the path without a stored slot: eliminated spans, no Lattice helpers."""
+    ctx = L.ctx
+    full = Span(ctx, 3, [[int(i == j) for j in range(3)] for i in range(3)])
+    derived = Span(ctx, 3, [L.bracket(u, v) for u in full.rows for v in full.rows])
+    if derived.is_zero():
+        return ("abelian",)
+    if Span(ctx, 3, [L.bracket(u, v) for u in full.rows for v in derived.rows]).is_zero():
+        assert derived.structural_rank() == 1
+        return ("heisenberg", ctx.precision - derived.size_exp())
+    return ("action", classify(action_matrix_on_abelian_ideal(L, derived)))
+
+
+def _uncached_verdict(inv1, inv2, p):
+    if inv1[0] != inv2[0]:
+        return False
+    if inv1[0] == "action":
+        return descriptors_equal(inv1[1], inv2[1], p)
+    return inv1 == inv2
+
+
+def _grid_versions(p, rng):
+    """Every grid member at p, N = 12, and three random unimodular basis changes of each."""
+    ctx = PadicContext(p, 12)
+    out = []
+    for label, family, params in thm73_grid(ctx):
+        lat, _ = make_thm73(ctx, family, params)
+        out.append((label, lat))
+        for _ in range(3):
+            while True:
+                P = PMatrix(ctx, [[rng.randrange(ctx.modulus) for _ in range(3)] for _ in range(3)])
+                if P.det() % p:
+                    break
+            out.append((label, lat.change_basis(P)))
+    return out
+
+
+class TestStoredInvariant:
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_stored_invariant_against_uncached_path(self, p):
+        versions = _grid_versions(p, random.Random(900 + p))
+        lattices = [lat for _, lat in versions]
+        oracle = [_uncached_invariant(lat) for lat in lattices]
+        for i, a in enumerate(lattices):
+            for j in range(i, len(lattices)):
+                cert = iso_test_3dim(a, lattices[j])
+                assert cert.isomorphic == _uncached_verdict(oracle[i], oracle[j], p)
+                assert cert.isomorphic == (versions[i][0] == versions[j][0])
+        for lat, inv in zip(lattices, oracle):
+            assert lat.dim3_invariant == inv
+            fresh = Lattice(lat.ctx, lat.constants, validate=False)
+            assert fresh.dim3_invariant is None
+            assert dim3_invariant(fresh) == lat.dim3_invariant
+
+    def test_pairwise_runs_each_lattice_once(self, monkeypatch):
+        counts = {"invariant": 0, "soluble": 0}
+        store, soluble = catalog._store_dim3_invariant, Lattice.is_soluble
+
+        def counted_store(L):
+            counts["invariant"] += 1
+            return store(L)
+
+        def counted_soluble(self):
+            counts["soluble"] += 1
+            return soluble(self)
+
+        monkeypatch.setattr(catalog, "_store_dim3_invariant", counted_store)
+        monkeypatch.setattr(Lattice, "is_soluble", counted_soluble)
+        lattices = [lat for _, lat in _grid_versions(5, random.Random(7))[:40]]
+        for i, a in enumerate(lattices):
+            for b in lattices[i + 1:]:
+                iso_test_3dim(a, b)
+        assert counts == {"invariant": len(lattices), "soluble": len(lattices)}
+        for lat in lattices:
+            iso_test_3dim(lat, lat)
+            dim3_invariant(lat)
+        assert counts == {"invariant": len(lattices), "soluble": len(lattices)}
+
+    def test_errors_repeat_and_leave_the_slot_empty(self):
+        ctx6 = PadicContext(5, 6)
+        good, _ = make_thm73(ctx6, "G1", {"s": 1})
+        flat, _ = make_2dim(ctx6, 1)
+        insoluble = make_insoluble(ctx6, "sl2tri")
+        ctx3 = PadicContext(5, 3)
+        coarse, _ = make_thm73(ctx3, "G1", {"s": 1})  # not determined at N = 3
+        coarse_partner, _ = make_thm73(ctx3, "G0", {"s": 0})
+        assert dim3_invariant(coarse_partner) == ("heisenberg", 0)
+        for lat, partner, error in (
+            (flat, good, NotDim3),
+            (insoluble, good, NotSoluble),
+            (coarse, coarse_partner, PrecisionExhausted),
+        ):
+            for _ in range(2):
+                with pytest.raises(error):
+                    dim3_invariant(lat)
+                with pytest.raises(error):
+                    iso_test_3dim(lat, partner)
+                with pytest.raises(error):
+                    iso_test_3dim(partner, lat)
+                assert lat.dim3_invariant is None
+
+    def test_both_lattices_checked_before_either_invariant(self, monkeypatch):
+        ctx = PadicContext(5, 6)
+        good, _ = make_thm73(ctx, "G1", {"s": 1})
+        monkeypatch.setattr(catalog, "_store_dim3_invariant", None)  # must not be reached
+        with pytest.raises(NotSoluble):
+            iso_test_3dim(good, make_insoluble(ctx, "sl2tri"))
+        assert good.dim3_invariant is None
+
+    def test_basis_change_copy_starts_empty(self):
+        ctx = PadicContext(5, 12)
+        lat, _ = make_thm73(ctx, "G3", {"s": 1, "r": 0, "d": 1})
+        inv = dim3_invariant(lat)
+        assert lat.dim3_invariant == inv
+        copy = lat.change_basis(PMatrix(ctx, [[1, 1, 0], [0, 1, 0], [2, 0, 1]]))
+        assert copy.dim3_invariant is None
+        assert iso_test_3dim(lat, copy).isomorphic
+        assert descriptors_equal(copy.dim3_invariant[1], inv[1], 5)
 
 
 def test_manifest_names_unique():

@@ -163,6 +163,16 @@ class TestConstructAndUse:
         code, out, _ = run(capsys, "iso", str(a), str(a))
         assert "isomorphic at precision: yes" in out
 
+    def test_iso_command_rejects_different_primes(self, capsys, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        run(capsys, "construct", "G1", "--s", "1", "--p", "5", "--N", "12", "-o", str(a))
+        run(capsys, "construct", "G1", "--s", "1", "--p", "7", "--N", "12", "-o", str(b))
+        code, out, err = run(capsys, "iso", str(a), str(b))
+        assert code == 2
+        assert "isomorphic" not in out
+        assert "different primes" in err
+
     def test_construct_unknown(self, capsys):
         code, _, err = run(capsys, "construct", "nonsense")
         assert code == 2

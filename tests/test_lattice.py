@@ -292,6 +292,27 @@ class TestBasisChange:
             rhs = P.apply_row(L2.bracket(u, v))
             assert lhs == rhs
 
+    def test_against_coefficient_sums(self):
+        # c'_ij = (sum_{k,l} P_ik P_jl c_kl) P^-1, summed coefficient by coefficient
+        ctx = PadicContext(5, 6)
+        rng = random.Random(16)
+        mod = ctx.modulus
+        for L in (make_insoluble(ctx, "sl1delta"), make_example_dim_p(ctx)[1]):
+            d = L.dim
+            for _ in range(3):
+                P = random_invertible(ctx, d, rng)
+                Pinv = P.inverse()
+                new = L.change_basis(P)
+                for i in range(d):
+                    for j in range(d):
+                        w = [0] * d
+                        for k in range(d):
+                            for l in range(d):
+                                for m in range(d):
+                                    w[m] += P.entries[i][k] * P.entries[j][l] * L.constants[k][l][m]
+                        expected = Pinv.apply_row([e % mod for e in w])
+                        assert new.constants[i][j] == expected
+
 
 def test_serialization_round_trip():
     ctx = PadicContext(5, 4)

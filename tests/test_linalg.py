@@ -171,6 +171,27 @@ class TestSpan:
         s = Span(ctx, 3, [(5, 1, 0), (0, 25, 3)])
         assert Span.from_json(ctx, s.to_json()) == s
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_trusted_full_and_zero_match_elimination(self, p, n):
+        # full and zero skip elimination; eliminating the identity and the
+        # empty generator list must give the same canonical spans
+        ctx = PadicContext(p, n)
+        for d in range(7):
+            identity = [[int(i == j) for j in range(d)] for i in range(d)]
+            for trusted, eliminated in (
+                (Span.full(ctx, d), Span(ctx, d, identity)),
+                (Span.zero(ctx, d), Span(ctx, d)),
+            ):
+                assert trusted == eliminated
+                assert hash(trusted) == hash(eliminated)
+                assert (trusted.dim, trusted.rows, trusted.pivots) == (
+                    eliminated.dim,
+                    eliminated.rows,
+                    eliminated.pivots,
+                )
+                assert trusted.size_exp() == eliminated.size_exp()
+
 
 class TestMatrixFunctions:
     def test_exp_examples(self):
