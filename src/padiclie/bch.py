@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .errors import ClassTooLarge, CrossCheckMismatch
 from .lattice import Lattice
@@ -288,8 +289,6 @@ def hausdorff_table(W: int) -> BCHTable:
     """Hausdorff series up to weight W via Dynkin's summation formula."""
     if W < 1:
         raise ValueError("weight must be >= 1")
-    from math import factorial
-
     acc: dict[str, Fraction] = {}
     for seq in _pair_compositions(W):
         n = len(seq)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import gcd
 
 from .bch import evaluate_words, hausdorff_table
 from .classifier import SimilarityDescriptor, classify, descriptors_equal
@@ -391,8 +392,6 @@ class FiniteLieRing:
         order = 1
         for a, m in zip(u, self.moduli):
             if a:
-                from math import gcd
-
                 o = m // gcd(a, m)
                 order = order * o // gcd(order, o)
         return order

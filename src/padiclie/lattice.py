@@ -327,6 +327,8 @@ class Lattice:
         constants = [[[0] * d for _ in range(d)] for _ in range(d)]
         for item in data.get("brackets", []):
             i, j, c = int(item["i"]), int(item["j"]), [int(e) for e in item["c"]]
+            if not (0 <= i < d and 0 <= j < d and len(c) == d):
+                raise ValueError(f"bracket [{i}, {j}] needs indices below {d} and {d} coefficients")
             if i == j:
                 raise AntisymmetryViolated("bracket of a basis vector with itself")
             for k in range(d):

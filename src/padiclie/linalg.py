@@ -374,25 +374,29 @@ class Span:
     def rank(self):
         return len(self.rows)
 
-    def solve(self, v: Vector):
-        """Coefficients of v over the canonical basis, or None if not a member."""
+    def _divide(self, v: Vector):
+        """(quotients, remainder) of v by the canonical basis, each pivot entry left below p^e."""
         mod = self.ctx.modulus
         p = self.ctx.p
         w = [e % mod for e in v]
         coeffs = []
         for (col, e), row in zip(self.pivots, self.rows):
-            piv = p**e
-            a = w[col]
-            if a % piv:
-                return None
-            q = a // piv
+            q = w[col] // p**e
             coeffs.append(q)
             if q:
                 for k in range(col, self.dim):
                     w[k] = (w[k] - q * row[k]) % mod
-        if any(w):
-            return None
-        return coeffs
+        return coeffs, w
+
+    def solve(self, v: Vector):
+        """Coefficients of v over the canonical basis, or None if not a member."""
+        coeffs, rest = self._divide(v)
+        return None if any(rest) else coeffs
+
+    def reduce(self, v: Vector) -> Vector:
+        """Canonical remainder of v modulo the span, constant exactly on cosets: a member
+        zero before column c is a combination of the pivot rows from c on (closure rows)."""
+        return tuple(self._divide(v)[1])
 
     def member(self, v: Vector) -> bool:
         return self.solve(v) is not None

@@ -10,12 +10,20 @@ is invariant under the witness twist.  This representation is complete for
 closed subgroups of these metabelian groups, because every subgroup meets
 the fiber in a module span and projects onto a closed subgroup of Z_p.
 
-The subgroup generated by all p-th powers of U = (w, F, T = M^(a_w)) has
-fiber exactly the T-closure of pF + F (T-1)^(p-1): expanding the geometric
+The form is canonical.  For U = <w> F_U with w = (p^e u, v_w), u a unit and
+F_U invariant under T = M^(a_w), U ∩ F = F_U + Z_p w^(p^(N-e)), still
+T-invariant as T fixes the vector of w^(p^(N-e)), a power of w.  The elements
+of U with first coordinate p^e are the coset w^(u^-1) (U ∩ F), and
+(p^e, v)(0, f) = (p^e, v + f); so the witness (p^e, v) with v reduced
+modulo U ∩ F (`Span.reduce`) depends on U alone: equal subgroups have equal keys.
+
+The subgroup generated by all p-th powers of U = (w, F, T = M^(a_w)) is
+generated by w^p and the span pF + F (T-1)^(p-1): expanding the geometric
 sum (1 + T^u + ... + T^((p-1)u)) binomially, every middle term has a
 binomial coefficient divisible by p while the top term is (T^u - 1)^(p-1),
 and (T^u - 1) is a Z[T]-multiple of (T - 1).  That closed form is what
-`power_subgroup` computes.
+`power_subgroup` computes with no closure: T commutes with T - 1, so the span is
+T-invariant when F is.
 
 Normal closures and commutators have closed forms of the same kind.  For any
 subgroup U, the normal closure is U^G = U[U, G]: [U, G] is normal in
@@ -221,9 +229,11 @@ class SemidirectGroup:
 
 
 class SubgroupData:
-    """A closed subgroup in split form: witness, fiber span, twist."""
+    """A closed subgroup in canonical split form: `fiber` is U ∩ F and `witness`
+    None or (p^e, v) with v reduced modulo it (module docstring).  The fiber
+    passed in must be invariant under the witness twist; it is not closed here."""
 
-    __slots__ = ("group", "witness", "fiber", "_fiber_meet")
+    __slots__ = ("group", "witness", "fiber")
 
     def __init__(self, group: SemidirectGroup, witness: GroupElement | None, fiber: Span):
         self.group = group
@@ -231,12 +241,14 @@ class SubgroupData:
         if witness is not None and witness.a % ctx.modulus == 0:
             fiber = fiber.sum(Span(ctx, group.fiber_dim, [witness.v]))
             witness = None
+        if witness is not None:
+            e, u = ctx.unit_part(witness.a)
+            witness = group.pow(witness, ctx.inv(u))  # first coordinate p^e exactly
+            deep = group.pow(witness, ctx.p ** (ctx.precision - e))  # fixed by the twist
+            fiber = fiber.sum(Span(ctx, group.fiber_dim, [deep.v]))
+            witness = GroupElement(witness.a, fiber.reduce(witness.v))
         self.witness = witness
-        if witness is None:
-            self.fiber = fiber
-        else:
-            self.fiber = _twist_closure(group, fiber, witness.a)
-        self._fiber_meet: Span | None = None  # witness and fiber are fixed from here on
+        self.fiber = fiber
 
     @property
     def h_valuation(self):
@@ -251,35 +263,22 @@ class SubgroupData:
         return gens
 
     def fiber_intersection(self) -> Span:
-        """Span of the pure-fiber elements, witness depth included; computed once."""
-        if self.witness is None:
-            return self.fiber
-        if self._fiber_meet is None:
-            g = self.group
-            e = g.ctx.val(self.witness.a)
-            m = g.ctx.precision - e
-            deep = g.pow(self.witness, g.ctx.p**m)
-            assert deep.a % g.ctx.modulus == 0
-            fiber = self.fiber.sum(Span(g.ctx, g.fiber_dim, [deep.v]))
-            self._fiber_meet = _twist_closure(g, fiber, self.witness.a)
-        return self._fiber_meet
+        """U ∩ F, the stored fiber; a method still because bench/tracing.py wraps it by name."""
+        return self.fiber
 
     def contains_element(self, x: GroupElement) -> bool:
         g = self.group
-        ctx = g.ctx
-        if x.a % ctx.modulus == 0:
-            return self.fiber_intersection().member(x.v)
+        mod = g.ctx.modulus
+        if x.a % mod == 0:
+            return self.fiber.member(x.v)
         if self.witness is None:
             return False
-        va = ctx.val(x.a)
-        e = ctx.val(self.witness.a)
-        if va < e:
+        lam, r = divmod(x.a % mod, self.witness.a)
+        if r:
             return False
-        _, u = ctx.unit_part(self.witness.a)
-        lam = x.a * ctx.inv(u) // ctx.p**e % ctx.modulus
         rest = g.mul(g.inv(g.pow(self.witness, lam)), x)
-        assert rest.a % ctx.modulus == 0
-        return self.fiber_intersection().member(rest.v)
+        assert rest.a % mod == 0
+        return self.fiber.member(rest.v)
 
     def contains(self, other: "SubgroupData") -> bool:
         return all(self.contains_element(x) for x in other.generators())
@@ -288,12 +287,12 @@ class SubgroupData:
         return (
             isinstance(other, SubgroupData)
             and self.group is other.group
-            and self.contains(other)
-            and other.contains(self)
+            and self.witness == other.witness
+            and self.fiber == other.fiber
         )
 
     def __hash__(self):
-        raise TypeError("subgroups are compared by containment, not hashed")
+        return hash((self.group, self.witness, self.fiber))
 
     def is_trivial(self) -> bool:
         return self.witness is None and self.fiber.is_zero()
@@ -301,7 +300,7 @@ class SubgroupData:
     def index_exp_in_group(self) -> int:
         """log_p |G : U| at precision."""
         g = self.group
-        fiber_index = Span.full(g.ctx, g.fiber_dim).index_exp(self.fiber_intersection())
+        fiber_index = Span.full(g.ctx, g.fiber_dim).index_exp(self.fiber)
         return self.h_valuation + fiber_index
 
     def __repr__(self):
@@ -330,11 +329,8 @@ def _twist_closure(group: SemidirectGroup, S: Span, a: int) -> Span:
 
 
 def generated_subgroup(group: SemidirectGroup, gens) -> SubgroupData:
-    """Least split-form subgroup containing the generators.
-
-    Each round either drops the witness valuation or grows the fiber span,
-    so the reduction terminates after one pass plus span closures.
-    """
+    """Least split-form subgroup containing the generators: a witness of least valuation,
+    the other generators divided by its powers into the fiber, closed under its twist."""
     ctx = group.ctx
     mod = ctx.modulus
     gens = [g for g in gens if g != group.identity_element()]
@@ -352,8 +348,8 @@ def generated_subgroup(group: SemidirectGroup, gens) -> SubgroupData:
         rest = group.mul(group.inv(group.pow(witness, lam)), g)
         assert rest.a % mod == 0
         fiber_vectors.append(rest.v)
-    # SubgroupData closes the fiber under the witness twist
-    return SubgroupData(group, witness, Span(ctx, group.fiber_dim, fiber_vectors))
+    fiber = _twist_closure(group, Span(ctx, group.fiber_dim, fiber_vectors), witness.a)
+    return SubgroupData(group, witness, fiber)
 
 
 def full_subgroup(group: SemidirectGroup) -> SubgroupData:
@@ -385,8 +381,7 @@ def commutator_subgroup(U: SubgroupData) -> SubgroupData:
 def power_subgroup(U: SubgroupData) -> SubgroupData:
     """The subgroup generated by all p-th powers of U (closed form; see module docstring)."""
     group = U.group
-    ctx = group.ctx
-    p = ctx.p
+    p = group.ctx.p
     pF = U.fiber.scale(p)
     if U.witness is None:
         return SubgroupData(group, None, pF)
@@ -394,7 +389,7 @@ def power_subgroup(U: SubgroupData) -> SubgroupData:
     deep = U.fiber.rows
     for _ in range(p - 1):
         deep = [F.apply_row(r) for r in deep]
-    fiber = _twist_closure(group, pF.sum(Span(ctx, group.fiber_dim, deep)), U.witness.a)
+    fiber = pF.sum(Span(group.ctx, group.fiber_dim, deep))
     return SubgroupData(group, group.pow(U.witness, p), fiber)
 
 

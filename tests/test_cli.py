@@ -173,6 +173,28 @@ class TestConstructAndUse:
         assert "isomorphic" not in out
         assert "different primes" in err
 
+    @pytest.mark.parametrize(
+        "bracket",
+        [
+            {"i": 0, "j": 3, "c": [0, 0, 1]},
+            {"i": -1, "j": 0, "c": [0, 0, 1]},
+            {"i": 0, "j": 1, "c": [0, 1]},
+            {"i": 0, "j": 1, "c": [0, 0, 1, 1]},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["iso", "bch mul"])
+    def test_malformed_bracket_is_bad_input(self, capsys, tmp_path, command, bracket):
+        dst = tmp_path / "h.json"
+        run(capsys, "construct", "G0", "--s", "0", "--p", "5", "--N", "2", "-o", str(dst))
+        data = json.loads(dst.read_text())
+        data["lattice"]["brackets"].append(bracket)
+        dst.write_text(json.dumps(data))
+        argv = [str(dst), str(dst)] if command == "iso" else [str(dst), "x", "y"]
+        code, out, err = run(capsys, *command.split(), *argv)
+        assert code == 2
+        assert out == ""
+        assert "input error" in err and "bracket" in err
+
     def test_construct_unknown(self, capsys):
         code, _, err = run(capsys, "construct", "nonsense")
         assert code == 2

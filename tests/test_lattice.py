@@ -321,3 +321,19 @@ def test_serialization_round_trip():
     back = Lattice.from_json(data)
     assert back.constants == H.constants
     assert back.labels == H.labels
+
+
+@pytest.mark.parametrize(
+    "bracket",
+    [
+        {"i": 0, "j": 3, "c": [0, 0, 1]},  # index past the dimension
+        {"i": -1, "j": 0, "c": [0, 0, 1]},  # negative index, not read as the last basis vector
+        {"i": 0, "j": 1, "c": [0, 1]},  # too few coefficients
+        {"i": 0, "j": 1, "c": [0, 0, 1, 1]},  # too many coefficients, not truncated
+    ],
+)
+def test_from_json_rejects_malformed_brackets(bracket):
+    data = heisenberg(PadicContext(5, 4)).to_json()
+    data["brackets"] = [bracket]
+    with pytest.raises(ValueError):
+        Lattice.from_json(data)

@@ -193,6 +193,31 @@ class TestSpan:
                 assert trusted.size_exp() == eliminated.size_exp()
 
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_reduce_is_constant_on_cosets(self, p, n):
+        ctx = PadicContext(p, n)
+        mod = ctx.modulus
+        rng = random.Random(p * 100 + n)
+        for _ in range(40):
+            d = rng.randrange(1, 5)
+            # generators scaled by random powers of p, so pivots of positive valuation appear
+            gens = [
+                [p ** rng.randrange(n + 1) * rng.randrange(mod) % mod for _ in range(d)]
+                for _ in range(rng.randrange(d + 2))
+            ]
+            s = Span(ctx, d, gens)
+            for _ in range(5):
+                v = tuple(rng.randrange(mod) for _ in range(d))
+                r = s.reduce(v)
+                assert s.member(tuple((a - b) % mod for a, b in zip(v, r)))
+                assert s.reduce(r) == r
+                assert all(r[col] < p**e for col, e in s.pivots)
+                coeffs = [rng.randrange(mod) for _ in gens]
+                member = [sum(c * g[k] for c, g in zip(coeffs, gens)) % mod for k in range(d)]
+                assert s.reduce(tuple((a + b) % mod for a, b in zip(v, member))) == r
+
+
 class TestMatrixFunctions:
     def test_exp_examples(self):
         ctx = PadicContext(5, 6)

@@ -205,20 +205,19 @@ class TestFastPaths:
             assert len(g._twist_cache) == propgroup.TWIST_CACHE_SIZE
 
     def test_cached_fiber_intersection_matches_recomputation(self):
-        rng = random.Random(15)
+        # the stored fiber is the whole meet: the given fiber plus w^(p^(N-e)), twist-closed
+        pairs = [(g, V) for which in ORACLE_GROUPS for g, V in oracle_subgroups(which)]
         for g in self.groups():
-            ctx = g.ctx
             full = full_subgroup(g)
-            for U in (full, frattini_p(g), power_subgroup(full), frattini_p_power(g)):
-                first = U.fiber_intersection()
-                for _ in range(10):
-                    U.contains_element(random_element(g, rng))
-                assert U.fiber_intersection() is first
-                e = ctx.val(U.witness.a)
-                deep = g.pow(U.witness, ctx.p ** (ctx.precision - e))
+            pairs += [(g, V) for V in (full, frattini_p(g), power_subgroup(full), frattini_p_power(g))]
+        for g, V in pairs:
+            assert V.fiber_intersection() is V.fiber
+            if V.witness is not None:
+                ctx = g.ctx
+                deep = g.pow(V.witness, ctx.p ** (ctx.precision - V.h_valuation))
                 assert deep.a % ctx.modulus == 0
-                S = U.fiber.sum(Span(ctx, g.fiber_dim, [deep.v]))
-                assert first == fixpoint_twist_closure(g, S, U.witness.a)
+                S = V.fiber.sum(Span(ctx, g.fiber_dim, [deep.v]))
+                assert V.fiber == fixpoint_twist_closure(g, S, V.witness.a), V
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +263,6 @@ def fixpoint_routes():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propgroup, "_twist_closure", fixpoint_twist_closure)
         yield
-
-
-def same_subgroup(U, V):
-    """Equality from the split form: depth, fiber intersection, each witness in the other."""
-    if U.h_valuation != V.h_valuation or U.fiber_intersection() != V.fiber_intersection():
-        return False
-    return all(X.witness is None or Y.contains_element(X.witness) for X, Y in ((U, V), (V, U)))
 
 
 ORACLE_GROUPS = ("grid", "dim-p", "p2")
@@ -319,10 +311,18 @@ def oracle_cases(which):
             for U in sample_subgroups(g, rng):
                 comm = generator_commutator_subgroup(U)
                 closure = fixpoint_normal_closure(U)
-                for V in (U, comm, closure):
-                    V.fiber_intersection()  # cached on the subgroup, so computed here
                 cases.append((g, U, comm, closure))
     return cases
+
+
+def oracle_subgroups(which):
+    """(group, subgroup) for the sample, its fixed-point [U, G] and U^G, and U's closed-form
+    normal closure and power subgroup."""
+    return [
+        (g, V)
+        for g, U, comm, closure in oracle_cases(which)
+        for V in (U, comm, closure, normal_closure(U), power_subgroup(U))
+    ]
 
 
 class TestClosedForms:
@@ -333,14 +333,14 @@ class TestClosedForms:
         for g, U, comm, _ in oracle_cases(which):
             got = commutator_subgroup(U)
             assert got.witness is None
-            assert same_subgroup(got, comm), U
+            assert got == comm, U
 
     @pytest.mark.parametrize("which", ORACLE_GROUPS)
     def test_normal_closure_matches_fixpoint(self, which):
         moved = 0
         for g, U, _, closure in oracle_cases(which):
-            assert same_subgroup(normal_closure(U), closure), U
-            moved += not same_subgroup(U, closure)
+            assert normal_closure(U) == closure, U
+            moved += U != closure
         assert moved  # the sample holds subgroups that are not normal
 
     @pytest.mark.parametrize("which", ORACLE_GROUPS)
@@ -363,10 +363,8 @@ class TestClosedForms:
             terms = lower_p_series_group(g) + [frattini_p(g)]
             with fixpoint_routes():
                 closures = [fixpoint_normal_closure(X) for X in terms]
-                for V in closures:
-                    V.fiber_intersection()
             for X, V in zip(terms, closures):
-                assert same_subgroup(X, V), X
+                assert X == V, X
 
     def test_closed_forms_run_no_fixpoint(self, monkeypatch):
         calls = []
@@ -385,6 +383,67 @@ class TestClosedForms:
         assert calls == []
         gamma_series(oracle_groups("dim-p")[0])  # the series still iterate, through the counter
         assert calls
+
+
+class TestCanonicalForm:
+    """SubgroupData keys: equality and hashing by (witness, fiber), checked against containment."""
+
+    @pytest.mark.parametrize("which", ORACLE_GROUPS)
+    def test_key_equality_matches_containment(self, which):
+        by_group = {}
+        for g, V in oracle_subgroups(which):
+            by_group.setdefault(g, []).append(V)
+        for subgroups in by_group.values():
+            inside = [[X.contains(Y) for Y in subgroups] for X in subgroups]
+            for i, X in enumerate(subgroups):
+                for j, Y in enumerate(subgroups):
+                    assert (X == Y) == (inside[i][j] and inside[j][i]), (X, Y)
+                    if X == Y:
+                        assert hash(X) == hash(Y)
+            classes = {frozenset(j for j, Y in enumerate(subgroups) if X == Y) for X in subgroups}
+            assert len(set(subgroups)) == len(classes)  # hashing agrees with equality
+
+    @pytest.mark.parametrize("which", ORACLE_GROUPS)
+    def test_witness_is_canonical(self, which):
+        for g, V in oracle_subgroups(which):
+            if V.witness is not None:
+                assert V.witness.a == g.ctx.p**V.h_valuation
+                assert V.fiber.reduce(V.witness.v) == V.witness.v
+
+    @pytest.mark.parametrize("which", ORACLE_GROUPS)
+    def test_generated_from_scaled_shuffled_generators(self, which):
+        rng = random.Random(31)
+        for g, V in oracle_subgroups(which):
+            units = [u for u in range(1, 4 * g.ctx.p) if u % g.ctx.p]
+            gens = [g.pow(x, rng.choice(units)) for x in V.generators()]
+            rng.shuffle(gens)
+            if len(gens) > 1:
+                gens.append(g.mul(gens[0], gens[1]))
+            assert generated_subgroup(g, gens) == V, V
+
+    def test_only_generated_subgroup_closes_under_the_twist(self, monkeypatch):
+        closures, containments = [], []
+        twist_closure = propgroup._twist_closure
+        contains_element = propgroup.SubgroupData.contains_element
+        monkeypatch.setattr(
+            propgroup, "_twist_closure", lambda *a: closures.append(a) or twist_closure(*a)
+        )
+        monkeypatch.setattr(
+            propgroup.SubgroupData,
+            "contains_element",
+            lambda *a: containments.append(a) or contains_element(*a),
+        )
+        pairs = oracle_subgroups("dim-p")
+        for g, V in pairs:
+            propgroup.SubgroupData(g, V.witness, V.fiber)
+            normal_closure(V)
+            power_subgroup(V)
+            commutator_subgroup(V)
+            for _, W in pairs:
+                _ = V == W
+        assert closures == [] and containments == []
+        generated_subgroup(g, g.standard_generators())
+        assert closures
 
 
 class TestSubgroups:
