@@ -29,29 +29,29 @@ from .padic import PadicScalar
 # ---------------------------------------------------------------------------
 
 
+def _accumulate(out: dict, w: str, c) -> None:
+    """out[w] += c, dropping the word when its coefficient cancels."""
+    s = out.get(w, 0) + c
+    if s:
+        out[w] = s
+    else:
+        out.pop(w, None)
+
+
 def poly_mul(a: dict, b: dict, W: int) -> dict:
     out: dict[str, Fraction] = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
             if len(wa) + len(wb) > W:
                 continue
-            w = wa + wb
-            c = out.get(w, 0) + ca * cb
-            if c:
-                out[w] = c
-            elif w in out:
-                del out[w]
+            _accumulate(out, wa + wb, ca * cb)
     return out
 
 
 def poly_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for w, c in b.items():
-        s = out.get(w, 0) + c
-        if s:
-            out[w] = s
-        elif w in out:
-            del out[w]
+        _accumulate(out, w, c)
     return out
 
 
@@ -129,18 +129,10 @@ def _word_bracket(wa: str, wb: str) -> tuple:
     out: dict[str, Fraction] = {}
     for w, c in _word_bracket(wa, prefix):
         for w2, c2 in _word_bracket(w, last):
-            s = out.get(w2, 0) + c * c2
-            if s:
-                out[w2] = s
-            elif w2 in out:
-                del out[w2]
+            _accumulate(out, w2, c * c2)
     for w, c in _word_bracket(wa, last):
         for w2, c2 in _word_bracket(w, prefix):
-            s = out.get(w2, 0) - c * c2
-            if s:
-                out[w2] = s
-            elif w2 in out:
-                del out[w2]
+            _accumulate(out, w2, -c * c2)
     return tuple(sorted(out.items()))
 
 
@@ -149,11 +141,7 @@ def _combo_bracket(a: dict, b: dict) -> dict:
     for wa, ca in a.items():
         for wb, cb in b.items():
             for w, c in _word_bracket(wa, wb):
-                s = out.get(w, 0) + ca * cb * c
-                if s:
-                    out[w] = s
-                elif w in out:
-                    del out[w]
+                _accumulate(out, w, ca * cb * c)
     return out
 
 

@@ -524,15 +524,19 @@ def action_matrix_on_abelian_ideal(L: Lattice, derived: Span) -> PMatrix:
     return _action_from_ideal_basis(L2, w1, w2)
 
 
-def _require_dim3_soluble(L: Lattice):
+def _require_dim3_soluble(L: Lattice) -> Span:
+    """Check that L is in the classification; returns its derived span [L, L]."""
     if L.dim != 3:
         raise NotDim3(f"the dimension-3 invariant needs a 3-dimensional lattice, got {L.dim}")
-    if not L.is_soluble():
+    full = L.full_span()
+    derived = L.bracket_span(full, full)
+    if not L.is_soluble(derived):
         raise NotSoluble("the dimension-3 invariant needs a lattice soluble at precision")
+    return derived
 
 
-def _store_dim3_invariant(L: Lattice):
-    """Determine the invariant of a checked lattice and keep it in its slot.
+def _store_dim3_invariant(L: Lattice, derived: Span):
+    """Determine the invariant of a checked lattice from its derived span and keep it.
 
     The branch follows the structure of the derived span: central means
     nilpotent type with the derived size as invariant; otherwise the class
@@ -540,11 +544,9 @@ def _store_dim3_invariant(L: Lattice):
     2-dimensional abelian ideal.  A `PrecisionExhausted` leaves the slot
     empty.
     """
-    full = L.full_span()
-    derived = L.bracket_span(full, full)
     if derived.is_zero():
         inv = ("abelian",)
-    elif L.bracket_span(full, derived).is_zero():
+    elif L.bracket_span(L.full_span(), derived).is_zero():
         if derived.structural_rank() != 1:
             raise PrecisionExhausted("central derived span of rank > 1 in dimension 3")
         inv = ("heisenberg", L.ctx.precision - derived.size_exp())
@@ -563,8 +565,7 @@ def dim3_invariant(L: Lattice):
     compared with `descriptors_equal`.
     """
     if L.dim3_invariant is None:
-        _require_dim3_soluble(L)
-        _store_dim3_invariant(L)
+        _store_dim3_invariant(L, _require_dim3_soluble(L))
     return L.dim3_invariant
 
 
@@ -574,13 +575,15 @@ def iso_test_3dim(L1: Lattice, L2: Lattice) -> IsoCertificate:
     Both lattices are checked before either invariant is computed, and a
     lattice whose invariant is stored has passed those checks already.
     """
-    pending = [L for L in ((L1,) if L1 is L2 else (L1, L2)) if L.dim3_invariant is None]
-    for L in pending:
-        _require_dim3_soluble(L)
+    pending = [
+        (L, _require_dim3_soluble(L))
+        for L in ((L1,) if L1 is L2 else (L1, L2))
+        if L.dim3_invariant is None
+    ]
     if L1.ctx.p != L2.ctx.p:
         raise ContextMismatch(f"lattices over different primes: {L1.ctx.p} and {L2.ctx.p}")
-    for L in pending:
-        _store_dim3_invariant(L)
+    for L, derived in pending:
+        _store_dim3_invariant(L, derived)
     inv1, inv2 = L1.dim3_invariant, L2.dim3_invariant
     if inv1[0] != inv2[0]:
         return IsoCertificate(False, f"{inv1[0]}/{inv2[0]}", inv1, inv2)

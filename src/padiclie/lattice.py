@@ -72,10 +72,10 @@ class Lattice:
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
                     v = vec_add(
-                        self.bracket(self.constants[i][j], self._basis(k)),
+                        self.bracket(self.constants[i][j], self.basis_vector(k)),
                         vec_add(
-                            self.bracket(self.constants[j][k], self._basis(i)),
-                            self.bracket(self.constants[k][i], self._basis(j)),
+                            self.bracket(self.constants[j][k], self.basis_vector(i)),
+                            self.bracket(self.constants[k][i], self.basis_vector(j)),
                             mod,
                         ),
                         mod,
@@ -85,11 +85,8 @@ class Lattice:
                             f"Jacobi fails on ({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
                         )
 
-    def _basis(self, i):
-        return tuple(1 if k == i else 0 for k in range(self.dim))
-
     def basis_vector(self, i):
-        return self._basis(i)
+        return tuple(1 if k == i else 0 for k in range(self.dim))
 
     def bracket(self, u, v):
         """Bilinear extension of the structure constants to vectors."""
@@ -119,16 +116,17 @@ class Lattice:
 
     def ad_matrix(self, v) -> PMatrix:
         """Matrix of u -> [u, v] acting on row vectors."""
-        return PMatrix(self.ctx, [self.bracket(self._basis(i), v) for i in range(self.dim)])
+        return PMatrix(self.ctx, [self.bracket(self.basis_vector(i), v) for i in range(self.dim)])
 
     # -- series ------------------------------------------------------------
 
     def _fixpoint(self, step, start: Span) -> list[Span]:
         return fixpoint(step, start, 4 * self.ctx.precision * self.dim + BUDGET_SLACK)
 
-    def _series(self, step) -> list[Span]:
+    def _series(self, step, start: Span | None = None) -> list[Span]:
         # every series here maps a zero term to zero: skip that last step
-        return self._fixpoint(lambda S: S if S.is_zero() else step(S), self.full_span())
+        start = self.full_span() if start is None else start
+        return self._fixpoint(lambda S: S if S.is_zero() else step(S), start)
 
     def lower_central(self) -> list[Span]:
         """gamma_1 = L, gamma_{i+1} = [gamma_i, L], to stabilisation."""
@@ -146,15 +144,16 @@ class Lattice:
         """D_1 = L, D_{i+1} = [D_i, D_i], to stabilisation."""
         return self._series(lambda S: self.bracket_span(S, S))
 
-    def is_soluble(self) -> bool:
+    def is_soluble(self, derived: Span | None = None) -> bool:
         """Terminal vanishing of the isolated derived series.
 
         The plain series cannot tell an insoluble lattice from a soluble one
         once every step picks up p-powers (the terms drop below precision);
         saturating each step makes a perfect derived span stabilise nonzero
-        instead.
+        instead.  `derived` is [L, L], for a caller that has built it already.
         """
-        terms = self._series(lambda S: self.bracket_span(S, S).saturate())
+        start = self.full_span() if derived is None else derived.saturate()
+        terms = self._series(lambda S: self.bracket_span(S, S).saturate(), start)
         return terms[-1].is_zero()
 
     def nilpotency_class(self) -> int | None:
@@ -185,9 +184,11 @@ class Lattice:
         p = self.ctx.p
         steps = []
         terms = filtration.terms
+        full = self.full_span()
         for i in range(len(terms) - 1):
-            step_ok = terms[i + 1].contains(self.bracket_span(terms[i], self.full_span()))
-            deep = self.iterated_bracket_span(terms[i], p - 1)
+            bracket = self.bracket_span(terms[i], full)  # [N_i, L], the first of the p - 1
+            step_ok = terms[i + 1].contains(bracket)
+            deep = self.iterated_bracket_span(bracket, p - 2)
             deep_ok = terms[i + 1].scale(p).contains(deep)
             steps.append(PotencyStep(i + 1, step_ok, deep_ok))
         terminal_ok = terms[-1].is_zero()
@@ -212,7 +213,7 @@ class Lattice:
         for i in range(self.dim):
             row = []
             for s in S.rows:
-                row.extend(self.bracket(self._basis(i), s))
+                row.extend(self.bracket(self.basis_vector(i), s))
             rows.append(row)
         return isolated_kernel(rows, self.ctx, self.dim * len(S.rows))
 
@@ -267,7 +268,7 @@ class Lattice:
         ads = [self.ad_matrix(g) for g in derived.rows]
         rows = []
         for i in range(self.dim):
-            ad_i = self.ad_matrix(self._basis(i))
+            ad_i = self.ad_matrix(self.basis_vector(i))
             rows.append([(ad_i @ m).trace() for m in ads])
         divisors = [e for e, _ in structural_profile(rows, self.ctx, len(derived.rows))]
         if any(e >= self.ctx.precision - 1 for e in divisors):

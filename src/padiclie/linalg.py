@@ -52,16 +52,8 @@ def vec_add(u, v, mod):
     return tuple((a + b) % mod for a, b in zip(u, v))
 
 
-def vec_sub(u, v, mod):
-    return tuple((a - b) % mod for a, b in zip(u, v))
-
-
 def vec_scale(c, v, mod):
     return tuple((c * a) % mod for a in v)
-
-
-def vec_is_zero(v, mod):
-    return all(a % mod == 0 for a in v)
 
 
 class PMatrix:

@@ -44,7 +44,16 @@ With [g, h] = g^-1 h^-1 g h and T = M^a, the commutators are
 the inverse generators giving the same spans.  Hence [U, G] is the fiber
 subgroup whose span is the M-invariant span generated by F_U (M - I),
 v_w (M - I) and F (T - I); `commutator_subgroup` computes it, and
-`normal_closure` returns the witness w with fiber F_U + [U, G].
+`normal_closure` returns the witness w with fiber F_U + [U, G].  By the same
+u^g = u[u, g], U is normal exactly when [U, G] <= U, that is [U, G] <= F_U.
+
+Joins of normal subgroups need no closure either.  Let U and V be normal with
+witnesses (p^e_U, .), (p^e_V, .), e_U <= e_V, and w_V = w_U^lam (0, x) for
+lam = p^(e_V - e_U) (no x when V lies in the fiber).  As [uv, g] =
+[u, g]^v [v, g] and [U, G] <= U ∩ F, [UV, G] = [U, G][V, G] lies in F_U + F_V.
+So S = F_U + F_V + Z_p x, a span inside UV, has S (M^a - I) <= [UV, G] <= S
+for every a: S is twist-invariant, <w_U> S is a subgroup between U, V and
+UV, and `join` returns UV = <w_U> S with no generator loop.
 
 Every invariant span in this module comes from one step.  A span S is closed
 under M^a and M^-a exactly when it is closed under F = M^a - I: as
@@ -353,7 +362,8 @@ def generated_subgroup(group: SemidirectGroup, gens) -> SubgroupData:
 
 
 def full_subgroup(group: SemidirectGroup) -> SubgroupData:
-    return generated_subgroup(group, group.standard_generators())
+    x = GroupElement(1, (0,) * group.fiber_dim)
+    return SubgroupData(group, x, Span.full(group.ctx, group.fiber_dim))
 
 
 def normal_closure(U: SubgroupData) -> SubgroupData:
@@ -362,7 +372,15 @@ def normal_closure(U: SubgroupData) -> SubgroupData:
 
 
 def join(U: SubgroupData, V: SubgroupData) -> SubgroupData:
-    return generated_subgroup(U.group, U.generators() + V.generators())
+    """UV for normal U and V, in closed form: the witness of least valuation, with fiber
+    F_U + F_V + Z_p x for the fiber part x of w_U^(-a_V/a_U) w_V (module docstring)."""
+    U, V = sorted((U, V), key=lambda X: X.h_valuation)
+    group = U.group
+    fiber = U.fiber.sum(V.fiber)
+    if V.witness is not None:
+        x = group.mul(group.inv(group.pow(U.witness, V.witness.a // U.witness.a)), V.witness)
+        fiber = fiber.sum(Span(group.ctx, group.fiber_dim, [x.v]))
+    return SubgroupData(group, U.witness, fiber)
 
 
 def commutator_subgroup(U: SubgroupData) -> SubgroupData:
@@ -409,20 +427,19 @@ def gamma_series(group: SemidirectGroup) -> list[SubgroupData]:
     return _series(group, full_subgroup(group), commutator_subgroup)
 
 
+def _lower_p_step(U: SubgroupData) -> SubgroupData:
+    # [U, G] is normal, and U^p is characteristic in the normal U: a join of normal subgroups
+    return join(commutator_subgroup(U), power_subgroup(U))
+
+
 def lower_p_series_group(group: SemidirectGroup) -> list[SubgroupData]:
     """G_1 = G, G_{i+1} = [G_i, G] G_i^p, to stabilisation at precision."""
-
-    def step(U):
-        # [U, G] is normal, and U^p is characteristic in the normal U: the join is normal
-        return join(commutator_subgroup(U), power_subgroup(U))
-
-    return _series(group, full_subgroup(group), step)
+    return _series(group, full_subgroup(group), _lower_p_step)
 
 
 def frattini_p(group: SemidirectGroup) -> SubgroupData:
-    """Phi(G) = G^p [G, G]."""
-    full = full_subgroup(group)
-    return join(power_subgroup(full), commutator_subgroup(full))  # both factors are normal
+    """Phi(G) = G^p [G, G] = G_2."""
+    return _lower_p_step(full_subgroup(group))
 
 
 def frattini_p_power(group: SemidirectGroup) -> SubgroupData:
@@ -449,22 +466,19 @@ def check_gamma_p_in_phi_p(group: SemidirectGroup) -> GammaPhiReport:
 
 
 def verify_group_potent_filtration(group: SemidirectGroup, chain) -> PotencyReport:
-    """Stepwise potency certificate for a given chain of normal subgroups."""
-    std = group.standard_generators()
-    for U in chain:
-        for g in U.generators():
-            for h in std:
-                if not U.contains_element(group.conj(g, h)):
-                    raise NotNormal("chain member is not normal in the ambient group")
+    """Stepwise potency certificate for a given chain of normal subgroups.  [N_i, G] is
+    built once per member: normality, the step and the start of [N_i,_{p-1} G]."""
+    comms = [commutator_subgroup(U) for U in chain]  # fiber subgroups: compare spans
+    if not all(U.fiber.contains(C.fiber) for U, C in zip(chain, comms)):
+        raise NotNormal("chain member is not normal in the ambient group")
     p = group.ctx.p
     steps = []
     for i in range(len(chain) - 1):
-        comm = commutator_subgroup(chain[i])
-        step_ok = chain[i + 1].contains(comm)
-        deep = chain[i]
-        for _ in range(p - 1):
+        step_ok = chain[i + 1].fiber.contains(comms[i].fiber)
+        deep = comms[i]
+        for _ in range(p - 2):
             deep = commutator_subgroup(deep)
-        deep_ok = power_subgroup(chain[i + 1]).contains(deep)
+        deep_ok = power_subgroup(chain[i + 1]).fiber.contains(deep.fiber)
         steps.append(PotencyStep(i + 1, step_ok, deep_ok))
     terminal_ok = chain[-1].is_trivial()
     return PotencyReport(steps, terminal_ok)

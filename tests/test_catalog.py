@@ -350,13 +350,13 @@ class TestStoredInvariant:
         counts = {"invariant": 0, "soluble": 0}
         store, soluble = catalog._store_dim3_invariant, Lattice.is_soluble
 
-        def counted_store(L):
+        def counted_store(L, *args):
             counts["invariant"] += 1
-            return store(L)
+            return store(L, *args)
 
-        def counted_soluble(self):
+        def counted_soluble(self, *args):
             counts["soluble"] += 1
-            return soluble(self)
+            return soluble(self, *args)
 
         monkeypatch.setattr(catalog, "_store_dim3_invariant", counted_store)
         monkeypatch.setattr(Lattice, "is_soluble", counted_soluble)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from padiclie import Lattice, PadicContext, PMatrix, Span, lattice
-from padiclie.catalog import make_2dim, make_example_dim_p, make_insoluble
+from padiclie.catalog import make_2dim, make_example_dim_p, make_insoluble, make_thm73, thm73_grid
 from padiclie.errors import (
     AntisymmetryViolated,
     ClosureBudgetExceeded,
@@ -152,6 +152,40 @@ class TestPotency:
         report = L.verify_potent_filtration(L.lower_p_series())
         assert not report.passed
         assert report.first_failure() == 1
+
+    @staticmethod
+    def reference_report(L, filtration):
+        """The certificate with each [N_i,_{p-1} L] bracketed from N_i itself."""
+        p = L.ctx.p
+        terms = filtration.terms
+        steps = [
+            lattice.PotencyStep(
+                i + 1,
+                b.contains(L.bracket_span(a, L.full_span())),
+                b.scale(p).contains(L.iterated_bracket_span(a, p - 1)),
+            )
+            for i, (a, b) in enumerate(zip(terms, terms[1:]))
+        ]
+        return lattice.PotencyReport(steps, terms[-1].is_zero())
+
+    def test_reused_bracket_matches_reference(self):
+        ctx = PadicContext(5, 6)
+        pool = [make_thm73(ctx, fam, params)[0] for _, fam, params in thm73_grid(ctx)]
+        pool.append(make_example_dim_p(PadicContext(5, 4))[1])
+        # filiform of class p = 3: [e1, e2] = e3, [e1, e3] = e4; the chain L > 0 fails both
+        # tests, and [L,_2 L] = <e4> is nonzero while [L,_3 L] = 0
+        ctx3 = PadicContext(3, 4)
+        constants = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+        for i, k in ((1, 2), (2, 3)):
+            constants[0][i][k], constants[i][0][k] = 1, ctx3.modulus - 1
+        filiform = Lattice(ctx3, constants)
+        crooked = lattice.Filtration([filiform.full_span(), filiform.zero_span()])
+        cases = [(L, L.lower_p_series()) for L in pool] + [(filiform, crooked)]
+        for L, filtration in cases:
+            assert L.verify_potent_filtration(filtration) == self.reference_report(L, filtration)
+        step = filiform.verify_potent_filtration(crooked).steps[0]
+        assert not step.step_ok and not step.deep_ok
+        assert not pool[-1].verify_potent_filtration(pool[-1].lower_p_series()).passed
 
     def test_construction_invariant(self):
         # terms of the lower p-series satisfy the first potency inclusion

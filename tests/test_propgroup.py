@@ -15,6 +15,7 @@ from padiclie.catalog import (
 )
 from padiclie.classifier import classify, descriptors_equal
 from padiclie.errors import NotNormal, NotProP
+from padiclie.lattice import PotencyReport, PotencyStep
 from padiclie.linalg import fixpoint, solve_over_rows
 from padiclie import propgroup
 from padiclie.propgroup import (
@@ -26,6 +27,7 @@ from padiclie.propgroup import (
     full_subgroup,
     gamma_series,
     generated_subgroup,
+    join,
     lower_p_series_group,
     normal_closure,
     power_subgroup,
@@ -257,6 +259,14 @@ def generator_commutator_subgroup(U):
     return fixpoint_normal_closure(generated_subgroup(group, comms))
 
 
+def conj_loop_is_normal(U):
+    """Normality of U by conjugating its generators with the standard generators."""
+    group = U.group
+    return all(
+        U.contains_element(group.conj(u, h)) for u in U.generators() for h in group.standard_generators()
+    )
+
+
 @contextmanager
 def fixpoint_routes():
     """Inside this context every split-form subgroup is closed by the fixed-point loop."""
@@ -366,6 +376,42 @@ class TestClosedForms:
             for X, V in zip(terms, closures):
                 assert X == V, X
 
+    @pytest.mark.parametrize("which", ORACLE_GROUPS)
+    def test_normal_join_matches_generated_subgroup(self, which):
+        by_group = {}
+        for g, V in oracle_subgroups(which):
+            if conj_loop_is_normal(V):
+                by_group.setdefault(g, set()).add(V)
+        witnessed = 0
+        for g, normal in by_group.items():
+            normal = list(normal)
+            for i, U in enumerate(normal):
+                for V in normal[i:]:
+                    UV = generated_subgroup(g, U.generators() + V.generators())
+                    assert join(U, V) == UV == join(V, U), (U, V)
+                    witnessed += U.witness is not None and V.witness is not None
+        assert witnessed  # pairs where both witnesses enter the fiber part x
+
+    @pytest.mark.parametrize("which", ORACLE_GROUPS)
+    def test_full_subgroup_matches_generated_subgroup(self, which):
+        for g in oracle_groups(which):
+            with fixpoint_routes():
+                full = generated_subgroup(g, g.standard_generators())
+            assert full_subgroup(g) == full
+
+    @pytest.mark.parametrize("which", ORACLE_GROUPS)
+    def test_normality_test_matches_conj_loop(self, which):
+        verdicts = set()
+        for g, V in oracle_subgroups(which):
+            normal = conj_loop_is_normal(V)
+            verdicts.add(normal)
+            if normal:
+                verify_group_potent_filtration(g, [V])
+            else:
+                with pytest.raises(NotNormal):
+                    verify_group_potent_filtration(g, [V])
+        assert verdicts == {True, False}
+
     def test_closed_forms_run_no_fixpoint(self, monkeypatch):
         calls = []
 
@@ -422,9 +468,10 @@ class TestCanonicalForm:
             assert generated_subgroup(g, gens) == V, V
 
     def test_only_generated_subgroup_closes_under_the_twist(self, monkeypatch):
-        closures, containments = [], []
+        closures, containments, conjugations = [], [], []
         twist_closure = propgroup._twist_closure
         contains_element = propgroup.SubgroupData.contains_element
+        conj = SemidirectGroup.conj
         monkeypatch.setattr(
             propgroup, "_twist_closure", lambda *a: closures.append(a) or twist_closure(*a)
         )
@@ -433,6 +480,7 @@ class TestCanonicalForm:
             "contains_element",
             lambda *a: containments.append(a) or contains_element(*a),
         )
+        monkeypatch.setattr(SemidirectGroup, "conj", lambda *a: conjugations.append(a) or conj(*a))
         pairs = oracle_subgroups("dim-p")
         for g, V in pairs:
             propgroup.SubgroupData(g, V.witness, V.fiber)
@@ -442,6 +490,11 @@ class TestCanonicalForm:
             for _, W in pairs:
                 _ = V == W
         assert closures == [] and containments == []
+        # a full group verdict, as the saturability check makes it: no closure, no conjugation
+        for g in (oracle_groups("grid")[0], oracle_groups("dim-p")[0]):
+            check_gamma_p_in_phi_p(g)
+            verify_group_potent_filtration(g, lower_p_series_group(g))
+        assert closures == [] and conjugations == []
         generated_subgroup(g, g.standard_generators())
         assert closures
 
@@ -553,6 +606,28 @@ class TestSaturabilityChecks:
         _, g = make_thm73(ctx, "G4", {"s": 0, "r": 1})
         assert check_gamma_p_in_phi_p(g).holds
         assert verify_group_potent_filtration(g, lower_p_series_group(g)).passed
+
+    def test_one_commutator_per_term_matches_reference(self):
+        def reference(g, chain):
+            steps = []
+            for i, (N, nxt) in enumerate(zip(chain, chain[1:])):
+                deep = N
+                for _ in range(g.ctx.p - 1):
+                    deep = commutator_subgroup(deep)
+                step_ok = nxt.contains(commutator_subgroup(N))
+                steps.append(PotencyStep(i + 1, step_ok, power_subgroup(nxt).contains(deep)))
+            return PotencyReport(steps, chain[-1].is_trivial())
+
+        # class p = 3 through a Jordan block: [G,_2 G] lies in G^p and [G, G] does not
+        ctx = PadicContext(3, 4)
+        jordan = SemidirectGroup(ctx, PMatrix(ctx, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+        full, trivial = full_subgroup(jordan), generated_subgroup(jordan, [])
+        cases = [(g, lower_p_series_group(g)) for g in oracle_groups("grid") + oracle_groups("dim-p")]
+        cases += [(jordan, [full, full, trivial]), (jordan, [full, trivial])]
+        for g, chain in cases:
+            assert verify_group_potent_filtration(g, chain) == reference(g, chain)
+        assert [s.deep_ok for s in reference(*cases[-2]).steps] == [True, False]
+        assert not reference(*cases[-1]).steps[0].deep_ok
 
     def test_not_normal_rejected(self):
         ctx = PadicContext(5, 4)
