@@ -316,15 +316,16 @@ def free_nilpotent_lattice(ctx, nil_class: int) -> Lattice:
     words = [w for m in range(1, nil_class + 1) for w in lie_basis_words(m)]
     index = {w: i for i, w in enumerate(words)}
     d = len(words)
-    constants = [[[0] * d for _ in range(d)] for _ in range(d)]
+    brackets = []
     for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            if i == j or len(u) + len(v) > nil_class:
+        for j in range(i + 1, d):
+            if len(u) + len(words[j]) > nil_class:
                 continue
-            reduced = reduce_to_basis(dict(_word_bracket(u, v)))
-            for w, c in reduced.items():
-                constants[i][j][index[w]] = ctx.reduce_fraction(c)
-    return Lattice(ctx, constants, tuple(words))
+            c = [0] * d
+            for w, coeff in reduce_to_basis(dict(_word_bracket(u, words[j]))).items():
+                c[index[w]] = ctx.reduce_fraction(coeff)
+            brackets.append((i, j, c))
+    return Lattice.from_brackets(ctx, d, brackets, tuple(words))
 
 
 # ---------------------------------------------------------------------------

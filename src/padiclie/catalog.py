@@ -4,7 +4,8 @@ isomorphism test for 3-dimensional soluble lattices.
 Presentation-to-matrix convention: in relations [y_i, x] = prod_j y_j^(a_ij)
 the exponent vectors form the ROWS of the fiber matrix A; the matching
 semidirect group acts through M = I + A (an exp(A) variant is available
-when the exponential converges).
+when the exponential converges).  `_split_pair` builds the lattice and the
+group of every split family from A alone.
 """
 
 from __future__ import annotations
@@ -41,16 +42,19 @@ from .padic import PadicContext
 from .propgroup import SemidirectGroup
 
 
-def _lattice_from_fiber_matrix(ctx: PadicContext, A: PMatrix, labels) -> Lattice:
-    """Dim-3 lattice with abelian ideal (y1, y2) and [y_i, x] = sum_j A_ij y_j."""
-    d = 3
-    constants = [[[0] * d for _ in range(d)] for _ in range(d)]
-    mod = ctx.modulus
-    for i in range(2):
-        for j in range(2):
-            constants[1 + i][0][1 + j] = A.entries[i][j] % mod
-            constants[0][1 + i][1 + j] = -A.entries[i][j] % mod
-    return Lattice(ctx, constants, labels)
+def _split_pair(A: PMatrix, labels, action: PMatrix | None = None):
+    """Lattice and group of Z_p x| Z_p^n given by the n x n fiber matrix A.
+
+    The lattice has basis (x, y_1, ..., y_n), abelian ideal (y_i) and
+    [y_i, x] = sum_j A_ij y_j; the group acts on the fiber through `action`,
+    I + A unless given.
+    """
+    ctx, n = A.ctx, A.rows
+    brackets = [(0, 1 + i, [0] + [-a for a in row]) for i, row in enumerate(A.entries)]
+    lattice = Lattice.from_brackets(ctx, n + 1, brackets, labels)
+    if action is None:
+        action = PMatrix.identity(ctx, n) + A
+    return lattice, SemidirectGroup(ctx, action)
 
 
 def _require_residually_nilpotent(A: PMatrix):
@@ -66,11 +70,7 @@ def make_2dim(ctx: PadicContext, s: int):
         raise BadParameter("residual nilpotence needs s >= 1")
     if s >= ctx.precision:
         raise BadParameter("s must be below the working precision")
-    ps = ctx.p**s
-    constants = [[[0, 0], [0, -ps]], [[0, ps], [0, 0]]]
-    lattice = Lattice(ctx, constants, ("x", "y"))
-    group = SemidirectGroup(ctx, PMatrix(ctx, [[1 + ps]]))
-    return lattice, group
+    return _split_pair(PMatrix(ctx, [[ctx.p**s]]), ("x", "y"))
 
 
 THM73_FAMILIES = ("G0", "G1", "G2", "G3", "G4", "G5")
@@ -121,10 +121,7 @@ def make_thm73(ctx: PadicContext, family: str, params: dict, exp_action: bool = 
     A = thm73_fiber_matrix(ctx, family, params)
     _require_residually_nilpotent(A)
     labels = ("x", "y", "z") if family == "G0" else ("x", "y1", "y2")
-    lattice = _lattice_from_fiber_matrix(ctx, A, labels)
-    action = mat_exp(A) if exp_action else PMatrix.identity(ctx, 2) + A
-    group = SemidirectGroup(ctx, action)
-    return lattice, group
+    return _split_pair(A, labels, mat_exp(A) if exp_action else None)
 
 
 def make_example_dim_p(ctx: PadicContext):
@@ -133,25 +130,10 @@ def make_example_dim_p(ctx: PadicContext):
     if p < 5:
         raise BadParameter("dimension-p fixture needs p >= 5")
     d = p - 1
-    M = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for i in range(d - 1):
-        M[i][i + 1] = 1
-    M[d - 1][0] = p
-    group = SemidirectGroup(ctx, PMatrix(ctx, M))
-    dim = p
-    constants = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    mod = ctx.modulus
-    for i in range(d):
-        target = [0] * dim
-        if i < d - 1:
-            target[2 + i] = 1
-        else:
-            target[1] = p
-        for k in range(dim):
-            constants[1 + i][0][k] = target[k] % mod
-            constants[0][1 + i][k] = -target[k] % mod
+    A = [[1 if j == i + 1 else 0 for j in range(d)] for i in range(d)]
+    A[d - 1][0] = p
     labels = ("x",) + tuple(f"y{i+1}" for i in range(d))
-    lattice = Lattice(ctx, constants, labels)
+    lattice, group = _split_pair(PMatrix(ctx, A), labels)
     return group, lattice
 
 
@@ -160,27 +142,23 @@ def make_insoluble(ctx: PadicContext, which: str) -> Lattice:
     if ctx.p < 5:
         raise BadParameter("insoluble fixtures need p >= 5")
     p = ctx.p
-    d = 3
-    constants = [[[0] * d for _ in range(d)] for _ in range(d)]
-    mod = ctx.modulus
-
-    def setpair(i, j, vec):
-        constants[i][j] = [e % mod for e in vec]
-        constants[j][i] = [-e % mod for e in vec]
-
     if which == "sl2tri":
         labels = ("x", "y", "h")
-        setpair(0, 1, (0, 0, 1))  # [x,y] = h
-        setpair(0, 2, (-2 * p, 0, 0))  # [x,h] = -2p x
-        setpair(1, 2, (0, 2 * p, 0))  # [y,h] = 2p y
+        brackets = [
+            (0, 1, (0, 0, 1)),  # [x,y] = h
+            (0, 2, (-2 * p, 0, 0)),  # [x,h] = -2p x
+            (1, 2, (0, 2 * p, 0)),  # [y,h] = 2p y
+        ]
     elif which == "sl1delta":
         labels = ("x", "y", "z")
-        setpair(0, 1, (0, 0, p))  # [x,y] = p z
-        setpair(0, 2, (0, p * ctx.rho, 0))  # [x,z] = p rho y
-        setpair(1, 2, (-1, 0, 0))  # [y,z] = -x
+        brackets = [
+            (0, 1, (0, 0, p)),  # [x,y] = p z
+            (0, 2, (0, p * ctx.rho, 0)),  # [x,z] = p rho y
+            (1, 2, (-1, 0, 0)),  # [y,z] = -x
+        ]
     else:
         raise BadParameter(f"unknown insoluble fixture {which}")
-    return Lattice(ctx, constants, labels)
+    return Lattice.from_brackets(ctx, 3, brackets, labels)
 
 
 def make_levi_example(ctx: PadicContext, k: int) -> Lattice:
@@ -193,24 +171,18 @@ def make_levi_example(ctx: PadicContext, k: int) -> Lattice:
         raise BadParameter("precision too low to separate the defect")
     p = ctx.p
     pk = p**k
-    d = 5
-    constants = [[[0] * d for _ in range(d)] for _ in range(d)]
-    mod = ctx.modulus
-
-    def setpair(i, j, vec):
-        constants[i][j] = [e % mod for e in vec]
-        constants[j][i] = [-e % mod for e in vec]
-
     # basis (x, y, h, a, b); brackets computed inside gl_3 from the scaled
     # elementary-matrix realisation
-    setpair(0, 1, (0, 0, pk, 0, 0))  # [x,y] = p^k h
-    setpair(0, 2, (-2 * pk, 0, 0, 3 * p, 0))  # [x,h] = -2 p^k x + 3p a
-    setpair(1, 2, (0, 2 * pk, 0, 0, 0))  # [y,h] = 2 p^k y
-    setpair(0, 3, (0, 0, 0, 0, -pk))  # [x,a] = -p^k b
-    setpair(1, 4, (0, 0, 0, -pk, 0))  # [y,b] = -p^k a
-    setpair(2, 3, (0, 0, 0, -pk, 0))  # [h,a] = -p^k a
-    setpair(2, 4, (0, 0, 0, 0, pk))  # [h,b] = p^k b
-    return Lattice(ctx, constants, ("x", "y", "h", "a", "b"))
+    brackets = [
+        (0, 1, (0, 0, pk, 0, 0)),  # [x,y] = p^k h
+        (0, 2, (-2 * pk, 0, 0, 3 * p, 0)),  # [x,h] = -2 p^k x + 3p a
+        (1, 2, (0, 2 * pk, 0, 0, 0)),  # [y,h] = 2 p^k y
+        (0, 3, (0, 0, 0, 0, -pk)),  # [x,a] = -p^k b
+        (1, 4, (0, 0, 0, -pk, 0)),  # [y,b] = -p^k a
+        (2, 3, (0, 0, 0, -pk, 0)),  # [h,a] = -p^k a
+        (2, 4, (0, 0, 0, 0, pk)),  # [h,b] = p^k b
+    ]
+    return Lattice.from_brackets(ctx, 5, brackets, ("x", "y", "h", "a", "b"))
 
 
 @dataclass

@@ -291,52 +291,57 @@ class Lattice:
         if self.ctx != other.ctx:
             raise ContextMismatch("direct sum over different contexts")
         d1, d2 = self.dim, other.dim
-        d = d1 + d2
-        constants = [[[0] * d for _ in range(d)] for _ in range(d)]
-        for i in range(d1):
-            for j in range(d1):
-                for k in range(d1):
-                    constants[i][j][k] = self.constants[i][j][k]
-        for i in range(d2):
-            for j in range(d2):
-                for k in range(d2):
-                    constants[d1 + i][d1 + j][d1 + k] = other.constants[i][j][k]
+        brackets = [(i, j, c + (0,) * d2) for i, j, c in self._brackets()]
+        brackets += [(d1 + i, d1 + j, (0,) * d1 + c) for i, j, c in other._brackets()]
         labels = tuple(self.labels) + tuple(f"{x}'" for x in other.labels)
-        return Lattice(self.ctx, constants, labels, validate=False)
+        return Lattice.from_brackets(self.ctx, d1 + d2, brackets, labels)
 
     # -- serialization -------------------------------------------------------
 
+    def _brackets(self):
+        """(i, j, c) for each i < j with [b_i, b_j] = c nonzero."""
+        return [
+            (i, j, self.constants[i][j])
+            for i in range(self.dim)
+            for j in range(i + 1, self.dim)
+            if any(self.constants[i][j])
+        ]
+
     def to_json(self) -> dict:
-        brackets = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if any(self.constants[i][j]):
-                    brackets.append({"i": i, "j": j, "c": list(self.constants[i][j])})
         return {
             "p": self.ctx.p,
             "precision": self.ctx.precision,
             "dim": self.dim,
             "labels": list(self.labels),
-            "brackets": brackets,
+            "brackets": [{"i": i, "j": j, "c": list(c)} for i, j, c in self._brackets()],
         }
+
+    @classmethod
+    def from_brackets(cls, ctx: PadicContext, dim: int, brackets, labels=None) -> "Lattice":
+        """The lattice with [b_i, b_j] = sum_k c[k] b_k for each triple (i, j, c).
+
+        Each pair is given once and [b_j, b_i] = -c is filled in; pairs left
+        out bracket to zero.  The result is validated.
+        """
+        constants = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        for i, j, c in brackets:
+            if not (0 <= i < dim and 0 <= j < dim and len(c) == dim):
+                raise ValueError(f"bracket [{i}, {j}] needs indices below {dim} and {dim} coefficients")
+            if i == j:
+                raise AntisymmetryViolated("bracket of a basis vector with itself")
+            constants[i][j] = list(c)
+            constants[j][i] = [-e for e in c]
+        return cls(ctx, constants, labels)
 
     @classmethod
     def from_json(cls, data: dict, ctx: PadicContext | None = None) -> "Lattice":
         if ctx is None:
             ctx = PadicContext(int(data["p"]), int(data["precision"]))
-        d = int(data["dim"])
-        constants = [[[0] * d for _ in range(d)] for _ in range(d)]
-        for item in data.get("brackets", []):
-            i, j, c = int(item["i"]), int(item["j"]), [int(e) for e in item["c"]]
-            if not (0 <= i < d and 0 <= j < d and len(c) == d):
-                raise ValueError(f"bracket [{i}, {j}] needs indices below {d} and {d} coefficients")
-            if i == j:
-                raise AntisymmetryViolated("bracket of a basis vector with itself")
-            for k in range(d):
-                constants[i][j][k] = c[k]
-                constants[j][i][k] = -c[k] % ctx.modulus
-        labels = data.get("labels")
-        return cls(ctx, constants, labels)
+        brackets = (
+            (int(item["i"]), int(item["j"]), [int(e) for e in item["c"]])
+            for item in data.get("brackets", [])
+        )
+        return cls.from_brackets(ctx, int(data["dim"]), brackets, data.get("labels"))
 
 
 @dataclass

@@ -17,6 +17,7 @@ every series and lattice closure in the package: a budget overrun raises
 
 from __future__ import annotations
 
+from math import factorial
 from operator import mul
 
 from .errors import (
@@ -629,6 +630,33 @@ def _series_bound(p: int, N: int, k: int, denominator_val) -> int:
     return n0
 
 
+def _series_sum(X: PMatrix, head: int, n0: int, denominator, start) -> PMatrix:
+    """start + sum of X^n / denominator(n) for n = 1..n0, exact at X's precision.
+
+    The sum runs `head` digits above the working precision, so that dividing a
+    term by the p-part of its denominator keeps every digit that is returned;
+    the caller's bound makes that p-part divide the term.  `start` is
+    PMatrix.identity or PMatrix.zero.
+    """
+    ctx = X.ctx
+    p = ctx.p
+    big = ctx.lift(head)
+    Xbig = X.lift(big)
+    term = PMatrix.identity(big, X.rows)
+    acc = start(big, X.rows)
+    for n in range(1, n0 + 1):
+        term = term @ Xbig
+        unit, q = denominator(n), 1
+        while unit % p == 0:
+            unit //= p
+            q *= p
+        if any(e % q for row in term.entries for e in row):
+            raise ConvergenceViolated("valuation bookkeeping failed")
+        inv_u = pow(unit, -1, big.modulus)
+        acc = acc + PMatrix(big, [[(e // q) * inv_u for e in row] for row in term.entries])
+    return PMatrix(ctx, acc.entries)
+
+
 def mat_exp(A: PMatrix) -> PMatrix:
     """Sum of A^n / n!, exact at the working precision.
 
@@ -637,35 +665,11 @@ def mat_exp(A: PMatrix) -> PMatrix:
     then grows fast enough to outrun v_p(n!), and the truncation bound is
     computed from p, N and the degree rather than hard-coded.
     """
-    ctx = A.ctx
+    p = A.ctx.p
     k = _series_degree(A, "exponential")
-    N = ctx.precision
-    n0 = _series_bound(ctx.p, N, k, lambda n: _val_factorial(n, ctx.p))
-    head = _val_factorial(n0, ctx.p) + 1
-    big = ctx.lift(head)
-    mod = big.modulus
-    Abig = A.lift(big)
-    term = PMatrix.identity(big, A.rows)
-    acc = PMatrix.identity(big, A.rows)
-    fact_v = 0
-    fact_u = 1
-    for n in range(1, n0 + 1):
-        term = term @ Abig
-        v, u = big.unit_part(n)
-        fact_v += v
-        fact_u = (fact_u * u) % mod
-        q = ctx.p**fact_v
-        inv_u = pow(fact_u, -1, mod)
-        entries = []
-        for row in term.entries:
-            out = []
-            for e in row:
-                if e % q:
-                    raise ConvergenceViolated("valuation bookkeeping failed")
-                out.append((e // q) * inv_u % mod)
-            entries.append(out)
-        acc = acc + PMatrix(big, entries)
-    return PMatrix(ctx, acc.entries)
+    n0 = _series_bound(p, A.ctx.precision, k, lambda n: _val_factorial(n, p))
+    head = _val_factorial(n0, p) + 1
+    return _series_sum(A, head, n0, factorial, PMatrix.identity)
 
 
 def mat_log(M: PMatrix) -> PMatrix:
@@ -673,35 +677,12 @@ def mat_log(M: PMatrix) -> PMatrix:
     ctx = M.ctx
     E = M - PMatrix.identity(ctx, M.rows)
     k = _series_degree(E, "logarithm")
-    N = ctx.precision
     p = ctx.p
-    n0 = _series_bound(p, N, k, lambda n: _val_factorial(n, p) - _val_factorial(n - 1, p))  # v_p(n)
-    head = 0
-    m = 1
-    while m <= n0:
-        m *= ctx.p
+    n0 = _series_bound(p, ctx.precision, k, lambda n: _val_factorial(n, p) - _val_factorial(n - 1, p))  # v_p(n)
+    head = 0  # base-p digits of n0
+    while p**head <= n0:
         head += 1
-    big = ctx.lift(head)
-    mod = big.modulus
-    Ebig = E.lift(big)
-    term = PMatrix.identity(big, M.rows)
-    acc = PMatrix.zero(big, M.rows)
-    for n in range(1, n0 + 1):
-        term = term @ Ebig
-        v, u = big.unit_part(n)
-        q = ctx.p**v
-        inv_u = pow(u, -1, mod)
-        sign = 1 if n % 2 == 1 else -1
-        entries = []
-        for row in term.entries:
-            out = []
-            for e in row:
-                if e % q:
-                    raise ConvergenceViolated("valuation bookkeeping failed")
-                out.append(sign * (e // q) * inv_u % mod)
-            entries.append(out)
-        acc = acc + PMatrix(big, entries)
-    return PMatrix(ctx, acc.entries)
+    return _series_sum(E, head, n0, lambda n: n if n % 2 else -n, PMatrix.zero)
 
 
 def binomials(n: int):

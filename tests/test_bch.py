@@ -5,6 +5,7 @@ import pytest
 
 from padiclie import PadicContext, PMatrix, mat_exp, mat_log
 from padiclie.bch import (
+    _word_bracket,
     bch_commutator,
     bch_mul,
     bch_neg,
@@ -17,6 +18,7 @@ from padiclie.bch import (
     lie_from_matrix_group,
     poly_add,
     poly_scale,
+    reduce_to_basis,
 )
 from padiclie.catalog import make_example_dim_p
 from padiclie.errors import ClassTooLarge
@@ -24,11 +26,7 @@ from padiclie.lattice import Lattice
 
 
 def heisenberg(ctx):
-    d = 3
-    constants = [[[0] * d for _ in range(d)] for _ in range(d)]
-    constants[0][1] = [0, 0, 1]
-    constants[1][0] = [0, 0, -1 % ctx.modulus]
-    return Lattice(ctx, constants, ("x", "y", "z"))
+    return Lattice.from_brackets(ctx, 3, [(0, 1, (0, 0, 1))], ("x", "y", "z"))
 
 
 class TestTable:
@@ -79,6 +77,23 @@ class TestTable:
 
 
 class TestFreeNilpotentEvaluation:
+    def test_constants_match_both_orders_reduced(self):
+        # oracle: every ordered pair of words reduced on its own, with no antisymmetry used
+        for p in (5, 7):
+            ctx = PadicContext(p, 4)
+            for nil_class in (1, 2, 3, 4):
+                L = free_nilpotent_lattice(ctx, nil_class)
+                words = [w for m in range(1, nil_class + 1) for w in lie_basis_words(m)]
+                assert L.labels == tuple(words)
+                d = len(words)
+                expected = [[[0] * d for _ in range(d)] for _ in range(d)]
+                for i, u in enumerate(words):
+                    for j, v in enumerate(words):
+                        if len(u) + len(v) <= nil_class:
+                            for w, c in reduce_to_basis(dict(_word_bracket(u, v))).items():
+                                expected[i][j][words.index(w)] = ctx.reduce_fraction(c)
+                assert [[list(vec) for vec in row] for row in L.constants] == expected
+
     def test_identity_laws_weight_five(self):
         ctx = PadicContext(7, 4)
         L = free_nilpotent_lattice(ctx, 5)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from padiclie import PadicContext, PMatrix, mat_log
+from padiclie import PadicContext, PMatrix, mat_exp, mat_log
 from padiclie import catalog
 from padiclie.catalog import (
     CATALOG_MANIFEST,
@@ -148,6 +148,38 @@ class TestThm73:
         back = SemidirectGroup.from_json(grp.to_json())
         assert back.action.entries == grp.action.entries
         assert back.ctx.p == 5 and back.ctx.precision == 6
+
+
+def _fiber_rows(lat, grp):
+    """The rows [y_i, x] on the fiber, once the brackets [y_i, y_j] are checked to vanish."""
+    x = lat.basis_vector(0)
+    ys = [lat.basis_vector(1 + i) for i in range(grp.fiber_dim)]
+    assert lat.dim == 1 + grp.fiber_dim
+    assert not any(any(lat.bracket(u, v)) for u in ys for v in ys)
+    rows = [lat.bracket(y, x) for y in ys]
+    assert all(row[0] == 0 for row in rows)
+    return [list(row[1:]) for row in rows]
+
+
+class TestSplitPairs:
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_lattice_rows_are_the_action_minus_identity(self, p):
+        ctx = PadicContext(p, 8)
+        pairs = [make_thm73(ctx, fam, params) for _, fam, params in thm73_grid(ctx)]
+        pairs += [make_2dim(ctx, s) for s in (1, 2, 3)]
+        pairs.append(make_example_dim_p(ctx)[::-1])
+        for lat, grp in pairs:
+            I = PMatrix.identity(ctx, grp.fiber_dim)
+            assert _fiber_rows(lat, grp) == (grp.action - I).entries
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_exp_action_keeps_the_rows_of_a(self, p):
+        ctx = PadicContext(p, 8)
+        for _, fam, params in thm73_grid(ctx):
+            lat, grp = make_thm73(ctx, fam, params, exp_action=True)
+            A = thm73_fiber_matrix(ctx, fam, params)
+            assert _fiber_rows(lat, grp) == A.entries
+            assert grp.action == mat_exp(A)
 
 
 class TestP3Pair:

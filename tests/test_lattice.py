@@ -3,7 +3,15 @@ import random
 import pytest
 
 from padiclie import Lattice, PadicContext, PMatrix, Span, lattice
-from padiclie.catalog import make_2dim, make_example_dim_p, make_insoluble, make_thm73, thm73_grid
+from padiclie.bch import free_nilpotent_lattice
+from padiclie.catalog import (
+    make_2dim,
+    make_example_dim_p,
+    make_insoluble,
+    make_levi_example,
+    make_thm73,
+    thm73_grid,
+)
 from padiclie.errors import (
     AntisymmetryViolated,
     ClosureBudgetExceeded,
@@ -14,15 +22,11 @@ from padiclie.errors import (
 
 
 def heisenberg(ctx):
-    d = 3
-    constants = [[[0] * d for _ in range(d)] for _ in range(d)]
-    constants[0][1] = [0, 0, 1]
-    constants[1][0] = [0, 0, -1 % ctx.modulus]
-    return Lattice(ctx, constants, ("x", "y", "z"))
+    return Lattice.from_brackets(ctx, 3, [(0, 1, (0, 0, 1))], ("x", "y", "z"))
 
 
 def abelian(ctx, d):
-    return Lattice(ctx, [[[0] * d for _ in range(d)] for _ in range(d)])
+    return Lattice.from_brackets(ctx, d, [])
 
 
 def random_invertible(ctx, n, rng):
@@ -349,12 +353,17 @@ class TestBasisChange:
 
 
 def test_serialization_round_trip():
-    ctx = PadicContext(5, 4)
-    H = heisenberg(ctx)
-    data = H.to_json()
-    back = Lattice.from_json(data)
-    assert back.constants == H.constants
-    assert back.labels == H.labels
+    for p in (5, 7):
+        ctx = PadicContext(p, 6)
+        pool = [heisenberg(ctx), make_example_dim_p(ctx)[1], make_levi_example(ctx, 2)]
+        pool += [make_thm73(ctx, fam, params)[0] for _, fam, params in thm73_grid(ctx)]
+        pool += [make_2dim(ctx, s)[0] for s in (1, 2, 3)]
+        pool += [make_insoluble(ctx, which) for which in ("sl2tri", "sl1delta")]
+        pool += [free_nilpotent_lattice(ctx, c) for c in (1, 2, 3, 4)]
+        for L in pool:
+            back = Lattice.from_json(L.to_json())
+            assert back.constants == L.constants
+            assert back.labels == L.labels
 
 
 @pytest.mark.parametrize(
@@ -364,10 +373,15 @@ def test_serialization_round_trip():
         {"i": -1, "j": 0, "c": [0, 0, 1]},  # negative index, not read as the last basis vector
         {"i": 0, "j": 1, "c": [0, 1]},  # too few coefficients
         {"i": 0, "j": 1, "c": [0, 0, 1, 1]},  # too many coefficients, not truncated
+        {"i": 1, "j": 1, "c": [0, 0, 1]},  # a basis vector with itself
     ],
 )
 def test_from_json_rejects_malformed_brackets(bracket):
-    data = heisenberg(PadicContext(5, 4)).to_json()
+    ctx = PadicContext(5, 4)
+    data = heisenberg(ctx).to_json()
     data["brackets"] = [bracket]
-    with pytest.raises(ValueError):
+    error = AntisymmetryViolated if bracket["i"] == bracket["j"] else ValueError
+    with pytest.raises(error):
         Lattice.from_json(data)
+    with pytest.raises(error):
+        Lattice.from_brackets(ctx, 3, [(bracket["i"], bracket["j"], bracket["c"])])

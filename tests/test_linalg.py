@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -241,6 +242,31 @@ class TestMatrixFunctions:
         assert mat_log(I) == PMatrix.zero(ctx, 2)
         E = PMatrix(ctx, [[0, 0], [7, 0]])
         assert mat_log(I + E) == E
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_series_values_where_the_series_ends(self, p):
+        # strictly upper-triangular n x n with n <= p - 2: A^n = 0 and every
+        # denominator is prime to p, so both sums are finite and exact over Q
+        ctx = PadicContext(p, 4)
+        rng = random.Random(p)
+
+        def exact(A, coefficients):
+            n = len(A)
+            power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            total = [[Fraction(0)] * n for _ in range(n)]
+            for c in coefficients:
+                total = [[t + c * a for t, a in zip(tr, pr)] for tr, pr in zip(total, power)]
+                power = [[sum(power[i][t] * A[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+            return PMatrix(ctx, [[ctx.reduce_fraction(x) for x in row] for row in total])
+
+        for n in range(1, p - 1):
+            exp_coeffs = [Fraction(1, math.factorial(k)) for k in range(n)]
+            log_coeffs = [Fraction(0)] + [Fraction((-1) ** (k - 1), k) for k in range(1, n)]
+            for _ in range(4):
+                A = [[rng.randrange(ctx.modulus) if j > i else 0 for j in range(n)] for i in range(n)]
+                M = PMatrix(ctx, A)
+                assert mat_exp(M) == exact(A, exp_coeffs)
+                assert mat_log(PMatrix.identity(ctx, n) + M) == exact(A, log_coeffs)
 
     def test_convergence_guard(self):
         ctx = PadicContext(5, 4)
