@@ -287,11 +287,7 @@ def hausdorff_table(W: int) -> BCHTable:
             denom *= factorial(r) * factorial(s)
         coeff = Fraction((-1) ** (n - 1), denom)
         for wrd, c in right_nested_to_words(word).items():
-            s2 = acc.get(wrd, 0) + coeff * c
-            if s2:
-                acc[wrd] = s2
-            elif wrd in acc:
-                del acc[wrd]
+            _accumulate(acc, wrd, coeff * c)
     reduced = reduce_to_basis(acc)
     terms = tuple(sorted(((c, w) for w, c in reduced.items()), key=lambda t: (len(t[1]), t[1])))
     return BCHTable(W, terms)

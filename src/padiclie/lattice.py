@@ -18,7 +18,6 @@ from .errors import (
     PrecisionExhausted,
 )
 from .linalg import (
-    BUDGET_SLACK,
     PMatrix,
     Span,
     fixpoint,
@@ -121,7 +120,7 @@ class Lattice:
     # -- series ------------------------------------------------------------
 
     def _fixpoint(self, step, start: Span) -> list[Span]:
-        return fixpoint(step, start, 4 * self.ctx.precision * self.dim + BUDGET_SLACK)
+        return fixpoint(step, start, self.ctx.precision * self.dim + 1)  # see fixpoint
 
     def _series(self, step, start: Span | None = None) -> list[Span]:
         # every series here maps a zero term to zero: skip that last step
@@ -199,8 +198,9 @@ class Lattice:
         self.ctx.require_odd()
         p = self.ctx.p
         full = self.full_span()
-        gamma_p = self.iterated_bracket_span(full, p - 1)
-        phi = full.scale(p).sum(self.bracket_span(full, full))
+        derived = self.bracket_span(full, full)
+        gamma_p = self.iterated_bracket_span(derived, p - 2)
+        phi = full.scale(p).sum(derived)
         return phi.scale(p).contains(gamma_p)
 
     # -- centralisers, isolators, radical -----------------------------------
@@ -320,15 +320,19 @@ class Lattice:
     def from_brackets(cls, ctx: PadicContext, dim: int, brackets, labels=None) -> "Lattice":
         """The lattice with [b_i, b_j] = sum_k c[k] b_k for each triple (i, j, c).
 
-        Each pair is given once and [b_j, b_i] = -c is filled in; pairs left
-        out bracket to zero.  The result is validated.
+        Each unordered pair is given once (a repeat raises ValueError); [b_j, b_i]
+        = -c is filled in, pairs left out bracket to zero and the result is validated.
         """
         constants = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        seen = set()
         for i, j, c in brackets:
             if not (0 <= i < dim and 0 <= j < dim and len(c) == dim):
                 raise ValueError(f"bracket [{i}, {j}] needs indices below {dim} and {dim} coefficients")
             if i == j:
                 raise AntisymmetryViolated("bracket of a basis vector with itself")
+            if (min(i, j), max(i, j)) in seen:
+                raise ValueError(f"bracket [{i}, {j}] is given twice")
+            seen.add((min(i, j), max(i, j)))
             constants[i][j] = list(c)
             constants[j][i] = [-e for e in c]
         return cls(ctx, constants, labels)

@@ -32,13 +32,18 @@ from .padic import PadicContext, PadicScalar
 
 Vector = tuple[int, ...]
 
-BUDGET_SLACK = 8  # added to every fixed-point budget, which otherwise scales with N * dim
-
 
 def fixpoint(step, start, budget: int) -> list:
     """The iterates start, step(start), ... up to the first x with step(x) == x.
 
-    Raises ClosureBudgetExceeded when `budget` steps do not reach one.
+    Raises ClosureBudgetExceeded when `budget` steps do not reach one.  Callers
+    pass N d + 1: their series descend and their closures ascend, and a strictly
+    monotone chain of submodules of (Z/p^N)^d (log-size in [0, N d]) or of
+    subgroups of a group of order p^(N d) (log-index in [0, N d]) has at most
+    N d + 1 members, so N d steps reach the fixed point and one more confirms
+    it.  The saturated derived series of `Lattice.is_soluble` descends only in
+    exact arithmetic, as saturating at precision can leave the previous term;
+    there an overrun raises rather than answers.
     """
     terms = [start]
     for _ in range(budget):
@@ -419,18 +424,9 @@ class Span:
         stacked = [list(r) for r in self.rows] + [
             [(-e) % self.ctx.modulus for e in r] for r in other.rows
         ]
-        ker = left_kernel(stacked, self.ctx, self.dim)
+        basis = PMatrix._reduced(self.ctx, self.rows)
         a = len(self.rows)
-        mod = self.ctx.modulus
-        gens = []
-        for krow in ker:
-            v = [0] * self.dim
-            for i in range(a):
-                c = krow[i]
-                if c:
-                    for k in range(self.dim):
-                        v[k] = (v[k] + c * self.rows[i][k]) % mod
-            gens.append(v)
+        gens = [basis.apply_row(k[:a]) for k in left_kernel(stacked, self.ctx, self.dim)]
         return Span(self.ctx, self.dim, gens)
 
     def size_exp(self) -> int:
@@ -470,31 +466,27 @@ class Span:
         return cls(ctx, int(data["dim"]), [[int(e) for e in r] for r in data["generators"]])
 
 
+def _augmented(rows, ctx, dim):
+    """`_eliminate` on the rows with an identity block appended: the last len(rows)
+    columns of each output row record the combination of the inputs it is."""
+    n = len(rows)
+    aug = [list(r) + [1 if k == i else 0 for k in range(n)] for i, r in enumerate(rows)]
+    return _eliminate(aug, ctx, dim, dim + n)
+
+
 def left_kernel(rows, ctx, dim) -> list[Vector]:
     """Generators of {x : x . rows = 0 mod p^N} for `rows` a list of vectors."""
-    n = len(rows)
-    if n == 0:
-        return []
-    width = dim + n
-    aug = [list(r) + [1 if k == i else 0 for k in range(n)] for i, r in enumerate(rows)]
-    pivot_rows, zero_rows = _eliminate(aug, ctx, dim, width)
-    gens = [tuple(r[dim:]) for r in zero_rows]
-    return gens
+    return [tuple(r[dim:]) for r in _augmented(rows, ctx, dim)[1]]
 
 
 def solve_over_rows(rows, target, ctx, dim):
     """Coefficients c with sum_i c_i rows_i = target mod p^N, or None."""
     n = len(rows)
-    if n == 0:
-        return None if any(e % ctx.modulus for e in target) else []
-    width = dim + n
-    aug = [list(r) + [1 if k == i else 0 for k in range(n)] for i, r in enumerate(rows)]
-    pivot_rows, _ = _eliminate(aug, ctx, dim, width)
     mod = ctx.modulus
     p = ctx.p
     w = [e % mod for e in target]
     coeff = [0] * n
-    for col, row in pivot_rows:
+    for col, row in _augmented(rows, ctx, dim)[0]:
         piv = p ** ctx.val(row[col])
         a = w[col]
         if a % piv:
@@ -513,21 +505,15 @@ def solve_over_rows(rows, target, ctx, dim):
 def isolated_kernel(rows, ctx, dim) -> Span:
     """Span of the coefficient vectors whose row-combination vanishes outright.
 
-    Unlike `left_kernel`, combinations that merely become divisible by a high
-    power of p contribute nothing: canonical kernel directions with positive
-    pivot valuation are closure artifacts of the finite precision and are
-    dropped.  This is the right notion for centraliser and radical
-    computations, which evaluate characteristic-zero criteria at precision;
-    the result is a saturated (isolated) span.
+    Unlike `left_kernel`, whose generators it profiles, combinations that
+    merely become divisible by a high power of p contribute nothing: canonical
+    kernel directions with positive pivot valuation are closure artifacts of
+    the finite precision and are dropped.  This is the right notion for
+    centraliser and radical computations, which evaluate characteristic-zero
+    criteria at precision; the result is a saturated (isolated) span.
     """
-    n = len(rows)
-    if n == 0:
-        return Span.zero(ctx, 0)
-    width = dim + n
-    aug = [list(r) + [1 if k == i else 0 for k in range(n)] for i, r in enumerate(rows)]
-    pivot_rows, zero_rows = _eliminate(aug, ctx, dim, width)
-    profile = structural_profile([r[dim:] for r in zero_rows], ctx, n)
-    return Span(ctx, n, [w for e, w in profile if e == 0])
+    profile = structural_profile(left_kernel(rows, ctx, dim), ctx, len(rows))
+    return Span(ctx, len(rows), [w for e, w in profile if e == 0])
 
 
 def structural_profile(rows, ctx, dim) -> list[tuple[int, Vector]]:

@@ -47,6 +47,15 @@ v_w (M - I) and F (T - I); `commutator_subgroup` computes it, and
 `normal_closure` returns the witness w with fiber F_U + [U, G].  By the same
 u^g = u[u, g], U is normal exactly when [U, G] <= U, that is [U, G] <= F_U.
 
+Iterated commutators are images under the table of E = M - I below.  Let C be
+a fiber subgroup whose span S is M-invariant, as every [U, G] is.  By the
+list above [C, G] is the M-invariant span generated by S E; but S E is
+already E-invariant, since s in S gives s E in S and so (s E) E in S E.
+Hence [C, G] = S E with no closure, and [C,_k G] = S E^k.  The whole fiber
+F is such a C with [F, G] = F E = [G, G], so gamma_(k+1)(G) = F E^k for
+k >= 1; in particular gamma_p = F E^(p-1), spanned by the rows of E^(p-1).
+E^k is entry k of the group's table, and zero from its length K on.
+
 Joins of normal subgroups need no closure either.  Let U and V be normal with
 witnesses (p^e_U, .), (p^e_V, .), e_U <= e_V, and w_V = w_U^lam (0, x) for
 lam = p^(e_V - e_U) (no x when V lies in the fiber).  As [uv, g] =
@@ -102,7 +111,6 @@ from itertools import islice
 from .errors import ContextMismatch, NotNormal, NotProP
 from .lattice import PotencyReport, PotencyStep
 from .linalg import (
-    BUDGET_SLACK,
     PMatrix,
     Span,
     binomial_sum,
@@ -396,6 +404,12 @@ def commutator_subgroup(U: SubgroupData) -> SubgroupData:
     return SubgroupData(group, None, _invariant_span(group, rows, E))
 
 
+def _commutator_image(group: SemidirectGroup, S: Span, k: int) -> Span:
+    """[C,_k G] = S E^k for a fiber subgroup C with M-invariant span S (module docstring)."""
+    E = group._powers
+    return S.image(E[k]) if k < len(E) else Span.zero(group.ctx, group.fiber_dim)
+
+
 def power_subgroup(U: SubgroupData) -> SubgroupData:
     """The subgroup generated by all p-th powers of U (closed form; see module docstring)."""
     group = U.group
@@ -418,7 +432,7 @@ def power_subgroup(U: SubgroupData) -> SubgroupData:
 
 def _series(group: SemidirectGroup, first: SubgroupData, step) -> list[SubgroupData]:
     # both series map the trivial subgroup to itself: skip that last step
-    budget = 6 * group.ctx.precision * group.dim + BUDGET_SLACK
+    budget = group.ctx.precision * group.dim + 1  # |G| = p^(N dim): see fixpoint
     return fixpoint(lambda U: U if U.is_trivial() else step(U), first, budget)
 
 
@@ -455,11 +469,11 @@ class GammaPhiReport:
 
 
 def check_gamma_p_in_phi_p(group: SemidirectGroup) -> GammaPhiReport:
-    """Membership of the gamma_p generators in Phi(G)^p."""
+    """Membership of the gamma_p generators in Phi(G)^p, with gamma_p = F E^(p-1)."""
     group.ctx.require_odd()
     p = group.ctx.p
-    gammas = gamma_series(group)
-    gamma_p = gammas[p - 1] if len(gammas) >= p else gammas[-1]
+    full = Span.full(group.ctx, group.fiber_dim)
+    gamma_p = SubgroupData(group, None, _commutator_image(group, full, p - 1))  # F E^(p-1)
     phi_p = frattini_p_power(group)
     failing = [g for g in gamma_p.generators() if not phi_p.contains_element(g)]
     return GammaPhiReport(not failing, gamma_p.generators(), failing)
@@ -467,7 +481,7 @@ def check_gamma_p_in_phi_p(group: SemidirectGroup) -> GammaPhiReport:
 
 def verify_group_potent_filtration(group: SemidirectGroup, chain) -> PotencyReport:
     """Stepwise potency certificate for a given chain of normal subgroups.  [N_i, G] is
-    built once per member: normality, the step and the start of [N_i,_{p-1} G]."""
+    built once per member: normality, the step, and [N_i,_{p-1} G] as its image under E^(p-2)."""
     comms = [commutator_subgroup(U) for U in chain]  # fiber subgroups: compare spans
     if not all(U.fiber.contains(C.fiber) for U, C in zip(chain, comms)):
         raise NotNormal("chain member is not normal in the ambient group")
@@ -475,10 +489,8 @@ def verify_group_potent_filtration(group: SemidirectGroup, chain) -> PotencyRepo
     steps = []
     for i in range(len(chain) - 1):
         step_ok = chain[i + 1].fiber.contains(comms[i].fiber)
-        deep = comms[i]
-        for _ in range(p - 2):
-            deep = commutator_subgroup(deep)
-        deep_ok = power_subgroup(chain[i + 1]).fiber.contains(deep.fiber)
+        deep = _commutator_image(group, comms[i].fiber, p - 2)  # [N_i,_{p-1} G]
+        deep_ok = power_subgroup(chain[i + 1]).fiber.contains(deep)
         steps.append(PotencyStep(i + 1, step_ok, deep_ok))
     terminal_ok = chain[-1].is_trivial()
     return PotencyReport(steps, terminal_ok)

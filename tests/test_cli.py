@@ -180,6 +180,8 @@ class TestConstructAndUse:
             {"i": -1, "j": 0, "c": [0, 0, 1]},
             {"i": 0, "j": 1, "c": [0, 1]},
             {"i": 0, "j": 1, "c": [0, 0, 1, 1]},
+            {"i": 1, "j": 0, "c": [0, 0, 1]},  # the file's [x, y] again, reversed
+            {"i": 0, "j": 1, "c": [0, 0, 2]},  # the file's [x, y] again, contradicting it
         ],
     )
     @pytest.mark.parametrize("command", ["iso", "bch mul"])

@@ -19,6 +19,7 @@ from padiclie.errors import (
     NotASublattice,
     PrecisionExhausted,
 )
+from padiclie.linalg import fixpoint
 
 
 def heisenberg(ctx):
@@ -191,6 +192,25 @@ class TestPotency:
         assert not step.step_ok and not step.deep_ok
         assert not pool[-1].verify_potent_filtration(pool[-1].lower_p_series()).passed
 
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_saturable_sufficient_matches_double_bracket(self, p):
+        def reference(L):
+            """[L,_{p-1} L] <= p(pL + [L, L]), bracketing L with itself for each term."""
+            full = L.full_span()
+            phi = full.scale(p).sum(L.bracket_span(full, full))
+            return phi.scale(p).contains(L.iterated_bracket_span(full, p - 1))
+
+        grid, others = [], []
+        for N in (4, 8):
+            ctx = PadicContext(p, N)
+            grid += [make_thm73(ctx, fam, params)[0] for _, fam, params in thm73_grid(ctx)]
+            others += [make_insoluble(ctx, which) for which in ("sl2tri", "sl1delta")]
+            others.append(make_example_dim_p(ctx)[1])
+        for L in grid + others:
+            assert L.saturable_sufficient() == reference(L)
+        assert all(L.saturable_sufficient() for L in grid)
+        assert not others[-1].saturable_sufficient()  # dimension p
+
     def test_construction_invariant(self):
         # terms of the lower p-series satisfy the first potency inclusion
         ctx = PadicContext(5, 4)
@@ -292,7 +312,7 @@ class TestIsolator:
         ctx = PadicContext(5, 4)
         H = heisenberg(ctx)
         # a budget of one step: each loop below needs at least two
-        monkeypatch.setattr(lattice, "BUDGET_SLACK", 1 - 4 * ctx.precision * H.dim)
+        monkeypatch.setattr(lattice, "fixpoint", lambda step, start, budget: fixpoint(step, start, 1))
         S = Span(ctx, 3, [(1, 0, 0), (0, 1, 0)])
         for run in (H.lower_central, lambda: H.sublattice_closure(S), lambda: H.isolator(S)):
             with pytest.raises(ClosureBudgetExceeded):
@@ -385,3 +405,21 @@ def test_from_json_rejects_malformed_brackets(bracket):
         Lattice.from_json(data)
     with pytest.raises(error):
         Lattice.from_brackets(ctx, 3, [(bracket["i"], bracket["j"], bracket["c"])])
+
+
+@pytest.mark.parametrize(
+    "brackets",
+    [
+        [(0, 1, (0, 0, 1)), (1, 0, (0, 0, 1))],  # the pair reversed: [b_0, b_1] = z and -z
+        [(0, 1, (0, 0, 1)), (0, 1, (1, 0, 0))],  # the pair again with another value
+        [(0, 2, (0, 1, 0)), (0, 1, (0, 0, 1)), (0, 1, (0, 0, 1))],  # an equal repeat
+    ],
+)
+def test_from_brackets_rejects_repeated_pairs(brackets):
+    ctx = PadicContext(5, 4)
+    i, j, _ = brackets[-1]
+    with pytest.raises(ValueError, match=rf"bracket \[{i}, {j}\] is given twice"):
+        Lattice.from_brackets(ctx, 3, brackets)
+    data = {"p": 5, "precision": 4, "dim": 3, "brackets": [{"i": i, "j": j, "c": c} for i, j, c in brackets]}
+    with pytest.raises(ValueError, match="given twice"):
+        Lattice.from_json(data)

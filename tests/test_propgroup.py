@@ -19,6 +19,7 @@ from padiclie.lattice import PotencyReport, PotencyStep
 from padiclie.linalg import fixpoint, solve_over_rows
 from padiclie import propgroup
 from padiclie.propgroup import (
+    GammaPhiReport,
     SemidirectGroup,
     check_gamma_p_in_phi_p,
     commutator_subgroup,
@@ -622,12 +623,48 @@ class TestSaturabilityChecks:
         ctx = PadicContext(3, 4)
         jordan = SemidirectGroup(ctx, PMatrix(ctx, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
         full, trivial = full_subgroup(jordan), generated_subgroup(jordan, [])
-        cases = [(g, lower_p_series_group(g)) for g in oracle_groups("grid") + oracle_groups("dim-p")]
+        groups = oracle_groups("grid") + oracle_groups("dim-p") + [example42(PadicContext(7, 4))]
+        cases = [(g, lower_p_series_group(g)) for g in groups]
         cases += [(jordan, [full, full, trivial]), (jordan, [full, trivial])]
         for g, chain in cases:
             assert verify_group_potent_filtration(g, chain) == reference(g, chain)
         assert [s.deep_ok for s in reference(*cases[-2]).steps] == [True, False]
         assert not reference(*cases[-1]).steps[0].deep_ok
+
+    def test_gamma_p_matches_gamma_series(self):
+        def reference(g):
+            """The check with gamma_p read from the whole gamma series."""
+            p = g.ctx.p
+            gammas = gamma_series(g)
+            gamma_p = gammas[p - 1] if len(gammas) >= p else gammas[-1]
+            phi_p = frattini_p_power(g)
+            failing = [x for x in gamma_p.generators() if not phi_p.contains_element(x)]
+            return GammaPhiReport(not failing, gamma_p.generators(), failing)
+
+        ctx = PadicContext(3, 4)
+        jordan = SemidirectGroup(ctx, PMatrix(ctx, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+        groups = oracle_groups("grid") + oracle_groups("dim-p") + [example42(PadicContext(7, 4)), jordan]
+        for g in groups:
+            assert check_gamma_p_in_phi_p(g) == reference(g)
+        # both ends of the table: E^(p-1) = 0 (K <= p - 1, e.g. abelian G0) and E^(p-1) != 0
+        # (the dim-p example, where E^(p-1) = pI, and the Jordan block)
+        assert {len(g._powers) <= g.ctx.p - 1 for g in groups} == {True, False}
+        assert not check_gamma_p_in_phi_p(groups[-2]).holds
+
+    def test_verdict_builds_one_commutator_per_chain_member(self, monkeypatch):
+        calls = []
+        for name in ("commutator_subgroup", "gamma_series"):
+            original = getattr(propgroup, name)
+            monkeypatch.setattr(propgroup, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+        for g in oracle_groups("grid") + oracle_groups("dim-p"):
+            calls.clear()
+            chain = lower_p_series_group(g)
+            assert calls == ["commutator_subgroup"] * sum(not U.is_trivial() for U in chain)
+            calls.clear()
+            check_gamma_p_in_phi_p(g)
+            verify_group_potent_filtration(g, chain)
+            # one [N_i, G] per chain member, one [G, G] for Phi; no gamma series
+            assert calls == ["commutator_subgroup"] * (len(chain) + 1)
 
     def test_not_normal_rejected(self):
         ctx = PadicContext(5, 4)
