@@ -177,17 +177,28 @@ class Lattice:
 
         Checks [N_i, L] <= N_{i+1} and [N_i,_{p-1} L] <= p N_{i+1} for each
         step, and that the last term is zero at precision.  Only certifies
-        the given chain; it does not search for filtrations.
+        the given chain; it does not search for filtrations.  Each distinct
+        span is bracketed with L once per call, so [N_i, L] and the chains
+        [N_i,_k L] share the spans they have in common.
         """
         self.ctx.require_odd()
         p = self.ctx.p
         steps = []
         terms = filtration.terms
         full = self.full_span()
+        with_full = {}
+
+        def bracket_full(S):
+            if S not in with_full:
+                with_full[S] = self.bracket_span(S, full)
+            return with_full[S]
+
         for i in range(len(terms) - 1):
-            bracket = self.bracket_span(terms[i], full)  # [N_i, L], the first of the p - 1
+            bracket = bracket_full(terms[i])  # [N_i, L], the first of the p - 1
             step_ok = terms[i + 1].contains(bracket)
-            deep = self.iterated_bracket_span(bracket, p - 2)
+            deep = bracket
+            for _ in range(p - 2):
+                deep = bracket_full(deep)
             deep_ok = terms[i + 1].scale(p).contains(deep)
             steps.append(PotencyStep(i + 1, step_ok, deep_ok))
         terminal_ok = terms[-1].is_zero()

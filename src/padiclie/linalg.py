@@ -404,8 +404,16 @@ class Span:
         return all(self.member(r) for r in other.rows)
 
     def sum(self, other: "Span") -> "Span":
+        """self + other.  When every row of other is already a member this is self, with
+        no elimination: the canonical form of a span is unique (see `add_rows`)."""
         self._check(other)
-        return Span(self.ctx, self.dim, list(self.rows) + list(other.rows))
+        return self.add_rows(other.rows)
+
+    def add_rows(self, rows) -> "Span":
+        """The span of self and the given vectors; self itself when each is a member."""
+        if all(self.member(r) for r in rows):
+            return self
+        return Span(self.ctx, self.dim, list(self.rows) + list(rows))
 
     def scale(self, c: int) -> "Span":
         mod = self.ctx.modulus

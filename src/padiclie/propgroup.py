@@ -64,6 +64,13 @@ So S = F_U + F_V + Z_p x, a span inside UV, has S (M^a - I) <= [UV, G] <= S
 for every a: S is twist-invariant, <w_U> S is a subgroup between U, V and
 UV, and `join` returns UV = <w_U> S with no generator loop.
 
+A `SubgroupData` is immutable once built and canonical, so [U, G] and U^p
+depend on the object alone: `commutator_subgroup` and `power_subgroup` keep
+them in its `commutator` and `power` slots, which the key (`__eq__`,
+`__hash__`) ignores.  `full_subgroup` is one stored object per group, so the
+lower p-series, Phi(G) and the potency check share [G, G], G^p and each
+[N_i, G] and N_i^p; a stored result lives as long as the object holding it.
+
 Every invariant span in this module comes from one step.  A span S is closed
 under M^a and M^-a exactly when it is closed under F = M^a - I: as
 M^(p^N) = I (below), M^-a is a power of M^a, and S M^a = S + S F.  The least
@@ -141,7 +148,7 @@ class SemidirectGroup:
     exponents can be reduced mod p^N; the module docstring says when.
     """
 
-    __slots__ = ("ctx", "fiber_dim", "action", "_twist_cache", "_powers")
+    __slots__ = ("ctx", "fiber_dim", "action", "_twist_cache", "_powers", "full")
 
     def __init__(self, ctx: PadicContext, action: PMatrix):
         if action.ctx != ctx:
@@ -160,6 +167,7 @@ class SemidirectGroup:
         self.action = action
         self._twist_cache: dict[int, PMatrix] = {}
         self._powers = powers  # [E^0, ..., E^(K-1)] for E = M - I, with E^K = 0
+        self.full = None  # G as a SubgroupData, built by full_subgroup
 
     @property
     def dim(self) -> int:
@@ -248,24 +256,27 @@ class SemidirectGroup:
 class SubgroupData:
     """A closed subgroup in canonical split form: `fiber` is U ∩ F and `witness`
     None or (p^e, v) with v reduced modulo it (module docstring).  The fiber
-    passed in must be invariant under the witness twist; it is not closed here."""
+    passed in must be invariant under the witness twist; it is not closed here.
+    `commutator` and `power` hold [U, G] and U^p once built; the key ignores them."""
 
-    __slots__ = ("group", "witness", "fiber")
+    __slots__ = ("group", "witness", "fiber", "commutator", "power")
 
     def __init__(self, group: SemidirectGroup, witness: GroupElement | None, fiber: Span):
         self.group = group
         ctx = group.ctx
         if witness is not None and witness.a % ctx.modulus == 0:
-            fiber = fiber.sum(Span(ctx, group.fiber_dim, [witness.v]))
+            fiber = fiber.add_rows([witness.v])
             witness = None
         if witness is not None:
             e, u = ctx.unit_part(witness.a)
             witness = group.pow(witness, ctx.inv(u))  # first coordinate p^e exactly
             deep = group.pow(witness, ctx.p ** (ctx.precision - e))  # fixed by the twist
-            fiber = fiber.sum(Span(ctx, group.fiber_dim, [deep.v]))
+            fiber = fiber.add_rows([deep.v])
             witness = GroupElement(witness.a, fiber.reduce(witness.v))
         self.witness = witness
         self.fiber = fiber
+        self.commutator = None
+        self.power = None
 
     @property
     def h_valuation(self):
@@ -370,8 +381,11 @@ def generated_subgroup(group: SemidirectGroup, gens) -> SubgroupData:
 
 
 def full_subgroup(group: SemidirectGroup) -> SubgroupData:
-    x = GroupElement(1, (0,) * group.fiber_dim)
-    return SubgroupData(group, x, Span.full(group.ctx, group.fiber_dim))
+    """G itself, one stored object per group, so its [G, G] and G^p are built once."""
+    if group.full is None:
+        x = GroupElement(1, (0,) * group.fiber_dim)
+        group.full = SubgroupData(group, x, Span.full(group.ctx, group.fiber_dim))
+    return group.full
 
 
 def normal_closure(U: SubgroupData) -> SubgroupData:
@@ -387,13 +401,16 @@ def join(U: SubgroupData, V: SubgroupData) -> SubgroupData:
     fiber = U.fiber.sum(V.fiber)
     if V.witness is not None:
         x = group.mul(group.inv(group.pow(U.witness, V.witness.a // U.witness.a)), V.witness)
-        fiber = fiber.sum(Span(group.ctx, group.fiber_dim, [x.v]))
+        fiber = fiber.add_rows([x.v])
     return SubgroupData(group, U.witness, fiber)
 
 
 def commutator_subgroup(U: SubgroupData) -> SubgroupData:
     """[U, G], a fiber subgroup: the M-invariant span of F_U (M - I),
-    v_w (M - I) and F (M^(a_w) - I) for U's witness (a_w, v_w) (module docstring)."""
+    v_w (M - I) and F (M^(a_w) - I) for U's witness (a_w, v_w) (module docstring).
+    Built once per subgroup object and kept in its `commutator` slot."""
+    if U.commutator is not None:
+        return U.commutator
     group = U.group
     I = group._powers[0]
     E = group.action - I
@@ -401,7 +418,8 @@ def commutator_subgroup(U: SubgroupData) -> SubgroupData:
     if U.witness is not None:
         rows.append(E.apply_row(U.witness.v))
         rows.extend((group.twist(U.witness.a) - I).entries)
-    return SubgroupData(group, None, _invariant_span(group, rows, E))
+    U.commutator = SubgroupData(group, None, _invariant_span(group, rows, E))
+    return U.commutator
 
 
 def _commutator_image(group: SemidirectGroup, S: Span, k: int) -> Span:
@@ -411,18 +429,22 @@ def _commutator_image(group: SemidirectGroup, S: Span, k: int) -> Span:
 
 
 def power_subgroup(U: SubgroupData) -> SubgroupData:
-    """The subgroup generated by all p-th powers of U (closed form; see module docstring)."""
+    """The subgroup generated by all p-th powers of U (closed form; see module docstring).
+    Built once per subgroup object and kept in its `power` slot."""
+    if U.power is not None:
+        return U.power
     group = U.group
     p = group.ctx.p
     pF = U.fiber.scale(p)
     if U.witness is None:
-        return SubgroupData(group, None, pF)
+        U.power = SubgroupData(group, None, pF)
+        return U.power
     F = group.twist(U.witness.a) - group._powers[0]
     deep = U.fiber.rows
     for _ in range(p - 1):
         deep = [F.apply_row(r) for r in deep]
-    fiber = pF.sum(Span(group.ctx, group.fiber_dim, deep))
-    return SubgroupData(group, group.pow(U.witness, p), fiber)
+    U.power = SubgroupData(group, group.pow(U.witness, p), pF.add_rows(deep))
+    return U.power
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,50 @@ class TestPotency:
         assert not step.step_ok and not step.deep_ok
         assert not pool[-1].verify_potent_filtration(pool[-1].lower_p_series()).passed
 
+    @staticmethod
+    def fresh_bracket_report(L, filtration):
+        """The certificate with a fresh bracket_span and iterated_bracket_span at every step."""
+        p = L.ctx.p
+        terms = filtration.terms
+        full = L.full_span()
+        steps = []
+        for i in range(len(terms) - 1):
+            bracket = L.bracket_span(terms[i], full)
+            deep = L.iterated_bracket_span(bracket, p - 2)
+            steps.append(
+                lattice.PotencyStep(i + 1, terms[i + 1].contains(bracket), terms[i + 1].scale(p).contains(deep))
+            )
+        return lattice.PotencyReport(steps, terms[-1].is_zero())
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_shared_brackets_match_fresh_brackets(self, p, monkeypatch):
+        pool = []
+        for N in (4, 8):
+            ctx = PadicContext(p, N)
+            pool += [make_thm73(ctx, fam, params)[0] for _, fam, params in thm73_grid(ctx)]
+            pool += [make_insoluble(ctx, which) for which in ("sl2tri", "sl1delta")]
+            pool.append(make_example_dim_p(ctx)[1])
+            pool += [make_levi_example(ctx, k) for k in (2, 3) if N >= 2 * k + 2]
+        cases = [(L, F) for L in pool for F in (L.lower_p_series(), lattice.Filtration(L.lower_central()))]
+        ctx3 = PadicContext(3, 4)  # the crooked filiform chain of the test above
+        constants = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+        for i, k in ((1, 2), (2, 3)):
+            constants[0][i][k], constants[i][0][k] = 1, ctx3.modulus - 1
+        filiform = Lattice(ctx3, constants)
+        cases.append((filiform, lattice.Filtration([filiform.full_span(), filiform.zero_span()])))
+
+        bracketed = []
+        bracket_span = Lattice.bracket_span
+        monkeypatch.setattr(Lattice, "bracket_span", lambda L, S, T: bracketed.append(S) or bracket_span(L, S, T))
+        outcomes = set()
+        for L, filtration in cases:
+            bracketed.clear()
+            report = L.verify_potent_filtration(filtration)
+            assert len(bracketed) == len(set(bracketed))  # each span with L once per call
+            assert report == self.fresh_bracket_report(L, filtration), L
+            outcomes.add(report.passed)
+        assert outcomes == {True, False}
+
     @pytest.mark.parametrize("p", [5, 7])
     def test_saturable_sufficient_matches_double_bracket(self, p):
         def reference(L):

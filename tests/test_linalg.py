@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from padiclie import PadicContext, PMatrix, Span, mat_exp, mat_log, mat_pow_padic
+from padiclie import PadicContext, PMatrix, Span, linalg, mat_exp, mat_log, mat_pow_padic
 from padiclie.errors import ClosureBudgetExceeded, ConvergenceViolated, NotContained, NotProP
 from padiclie.linalg import (
     _series_bound,
@@ -217,6 +217,67 @@ class TestSpan:
                 coeffs = [rng.randrange(mod) for _ in gens]
                 member = [sum(c * g[k] for c, g in zip(coeffs, gens)) % mod for k in range(d)]
                 assert s.reduce(tuple((a + b) % mod for a, b in zip(v, member))) == r
+
+    @staticmethod
+    def random_gens(ctx, d, rng, count):
+        p, n, mod = ctx.p, ctx.precision, ctx.modulus
+        return [[p ** rng.randrange(n + 1) * rng.randrange(mod) % mod for _ in range(d)] for _ in range(count)]
+
+    @staticmethod
+    def combinations(ctx, rows, rng, count):
+        """Random Z/p^N-combinations of the rows: members of their span, not in canonical form."""
+        mod = ctx.modulus
+        out = []
+        if not rows:
+            return out
+        for _ in range(count):
+            coeffs = [rng.randrange(mod) for _ in rows]
+            out.append([sum(c * r[k] for c, r in zip(coeffs, rows)) % mod for k in range(len(rows[0]))])
+        return out
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_sum_and_add_rows_match_elimination(self, p, n):
+        ctx = PadicContext(p, n)
+        mod = ctx.modulus
+        rng = random.Random(p * 1000 + n)
+        shortcuts = []
+        for trial in range(90):
+            d = rng.randrange(1, 6)
+            big = Span(ctx, d, self.random_gens(ctx, d, rng, rng.randrange(d + 2)))
+            small = Span(ctx, d, self.combinations(ctx, big.rows, rng, rng.randrange(3)))
+            case = trial % 3
+            if case == 0:  # b inside a
+                a, b = big, small
+            elif case == 1:  # a inside b
+                a, b = small, big
+            else:  # neither, as a rule
+                a, b = big, Span(ctx, d, self.random_gens(ctx, d, rng, rng.randrange(1, d + 2)))
+            # the same span as b, given by vectors that are not its canonical rows
+            unit = rng.choice([u for u in range(1, 4 * p) if u % p])
+            raw = [[unit * e % mod for e in r] for r in b.rows] + self.combinations(ctx, b.rows, rng, 2)
+            rng.shuffle(raw)
+            expected = Span(ctx, d, list(a.rows) + list(b.rows))
+            for got in (a.sum(b), a.add_rows(b.rows), a.add_rows(raw)):
+                assert (got.rows, got.pivots) == (expected.rows, expected.pivots), (a, b)
+            if a.contains(b):
+                assert a.sum(b) is a and a.add_rows(raw) is a
+            shortcuts.append(a.contains(b))
+        assert all(shortcuts[::3]) and not all(shortcuts)  # b inside a, and sums that eliminate
+
+    def test_sum_of_a_contained_span_runs_no_elimination(self, monkeypatch):
+        calls = []
+        eliminate = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate", lambda *a: calls.append(a) or eliminate(*a))
+        ctx = PadicContext(5, 4)
+        a = Span(ctx, 3, [(1, 2, 3), (0, 5, 10)])
+        inside = Span(ctx, 3, [(2, 4, 6)])
+        outside = Span(ctx, 3, [(0, 0, 1)])
+        calls.clear()
+        assert a.sum(inside) is a and a.add_rows([(3, 11, 19), (0, 0, 0)]) is a and a.add_rows([]) is a
+        assert calls == []
+        assert a.sum(outside) == Span(ctx, 3, [(1, 2, 3), (0, 5, 10), (0, 0, 1)])
+        assert len(calls) == 2  # the sum and the reference
 
 
 class TestMatrixFunctions:

@@ -260,6 +260,11 @@ def generator_commutator_subgroup(U):
     return fixpoint_normal_closure(generated_subgroup(group, comms))
 
 
+def fresh(U):
+    """A new object with U's key and empty `commutator`/`power` slots: the closed forms run anew."""
+    return propgroup.SubgroupData(U.group, U.witness, U.fiber)
+
+
 def conj_loop_is_normal(U):
     """Normality of U by conjugating its generators with the standard generators."""
     group = U.group
@@ -342,7 +347,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("which", ORACLE_GROUPS)
     def test_commutator_subgroup_matches_generator_commutators(self, which):
         for g, U, comm, _ in oracle_cases(which):
-            got = commutator_subgroup(U)
+            got = commutator_subgroup(fresh(U))
             assert got.witness is None
             assert got == comm, U
 
@@ -350,7 +355,7 @@ class TestClosedForms:
     def test_normal_closure_matches_fixpoint(self, which):
         moved = 0
         for g, U, _, closure in oracle_cases(which):
-            assert normal_closure(U) == closure, U
+            assert normal_closure(fresh(U)) == closure, U
             moved += U != closure
         assert moved  # the sample holds subgroups that are not normal
 
@@ -498,6 +503,49 @@ class TestCanonicalForm:
         assert closures == [] and conjugations == []
         generated_subgroup(g, g.standard_generators())
         assert closures
+
+
+class TestSubgroupSlots:
+    """[U, G] and U^p are kept on the subgroup object; G is one stored object per group."""
+
+    @pytest.mark.parametrize("which", ORACLE_GROUPS)
+    def test_same_key_gives_equal_results(self, which):
+        for g, V in oracle_subgroups(which):
+            first, second = fresh(V), fresh(V)
+            assert commutator_subgroup(first) is commutator_subgroup(first) is first.commutator
+            assert power_subgroup(first) is power_subgroup(first) is first.power
+            assert second.commutator is None and second.power is None
+            assert commutator_subgroup(second) == first.commutator == commutator_subgroup(V)
+            assert power_subgroup(second) == first.power == power_subgroup(V)
+
+    def test_key_ignores_the_slots(self):
+        for g, V in oracle_subgroups("dim-p"):
+            filled, empty = fresh(V), fresh(V)
+            filled.commutator, filled.power = full_subgroup(g), generated_subgroup(g, [])
+            assert filled == empty == V and hash(filled) == hash(empty) == hash(V)
+            assert len({filled, empty, V}) == 1
+
+    def test_full_subgroup_is_stored_once_per_group(self):
+        g = example42(PadicContext(5, 4))
+        G = full_subgroup(g)
+        assert full_subgroup(g) is G and g.full is G
+        other = SemidirectGroup(g.ctx, g.action)
+        assert full_subgroup(other) is not G and full_subgroup(other).group is other
+
+    @pytest.mark.parametrize("which", ORACLE_GROUPS)
+    def test_slots_filled_under_the_oracle_routes_do_not_leak(self, which):
+        cases = oracle_cases(which)
+        with fixpoint_routes():
+            filled = [fresh(U) for _, U, _, _ in cases]
+            for V in filled:
+                commutator_subgroup(V)
+                power_subgroup(V)
+        for (g, U, comm, _), V in zip(cases, filled):
+            W = fresh(U)
+            assert W.commutator is None and W.power is None  # nothing carried over by the key
+            assert commutator_subgroup(W) == V.commutator == comm
+            assert power_subgroup(W) == V.power
+            assert V == U == W and hash(V) == hash(U) == hash(W)
 
 
 class TestSubgroups:
@@ -652,19 +700,38 @@ class TestSaturabilityChecks:
         assert not check_gamma_p_in_phi_p(groups[-2]).holds
 
     def test_verdict_builds_one_commutator_per_chain_member(self, monkeypatch):
-        calls = []
-        for name in ("commutator_subgroup", "gamma_series"):
-            original = getattr(propgroup, name)
-            monkeypatch.setattr(propgroup, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+        # count computations: calls that find the subgroup's slot empty
+        built = {"commutator": [], "power": [], "gamma_series": []}
+
+        def counted(slot):
+            original = getattr(propgroup, f"{slot}_subgroup")
+
+            def call(U):
+                if getattr(U, slot) is None:
+                    built[slot].append(U)
+                return original(U)
+
+            return call
+
+        for slot in ("commutator", "power"):
+            monkeypatch.setattr(propgroup, f"{slot}_subgroup", counted(slot))
+        gamma_series = propgroup.gamma_series
+        monkeypatch.setattr(propgroup, "gamma_series", lambda g: built["gamma_series"].append(g) or gamma_series(g))
         for g in oracle_groups("grid") + oracle_groups("dim-p"):
-            calls.clear()
+            g = SemidirectGroup(g.ctx, g.action)  # no stored G and no filled slot from other tests
+            for objects in built.values():
+                objects.clear()
             chain = lower_p_series_group(g)
-            assert calls == ["commutator_subgroup"] * sum(not U.is_trivial() for U in chain)
-            calls.clear()
             check_gamma_p_in_phi_p(g)
             verify_group_potent_filtration(g, chain)
-            # one [N_i, G] per chain member, one [G, G] for Phi; no gamma series
-            assert calls == ["commutator_subgroup"] * (len(chain) + 1)
+            # one [U, G] and one U^p per distinct subgroup object: [N_i, G] and N_i^p for
+            # each chain member, shared by the three calls, and Phi^p for a Phi built anew
+            for slot in ("commutator", "power"):
+                assert len({id(U) for U in built[slot]}) == len(built[slot])
+            assert {id(U) for U in built["commutator"]} == {id(U) for U in chain}
+            assert len(built["power"]) == len(chain) + 1
+            assert {id(U) for U in built["power"]} > {id(U) for U in chain}
+            assert built["gamma_series"] == []
 
     def test_not_normal_rejected(self):
         ctx = PadicContext(5, 4)
