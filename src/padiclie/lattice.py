@@ -197,7 +197,7 @@ class Lattice:
             bracket = bracket_full(terms[i])  # [N_i, L], the first of the p - 1
             step_ok = terms[i + 1].contains(bracket)
             deep = bracket
-            for _ in range(p - 2):
+            for _ in range(p - 2):  # iterated_bracket_span, through this call's bracket memo
                 deep = bracket_full(deep)
             deep_ok = terms[i + 1].scale(p).contains(deep)
             steps.append(PotencyStep(i + 1, step_ok, deep_ok))

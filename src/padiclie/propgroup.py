@@ -70,6 +70,9 @@ them in its `commutator` and `power` slots, which the key (`__eq__`,
 `__hash__`) ignores.  `full_subgroup` is one stored object per group, so the
 lower p-series, Phi(G) and the potency check share [G, G], G^p and each
 [N_i, G] and N_i^p; a stored result lives as long as the object holding it.
+A group and its stored G refer to each other, so once `full_subgroup` has
+run, the group, its G and the results in G's slots are freed by the cyclic
+garbage collector rather than as soon as the last outside reference goes.
 
 Every invariant span in this module comes from one step.  A span S is closed
 under M^a and M^-a exactly when it is closed under F = M^a - I: as
@@ -148,7 +151,7 @@ class SemidirectGroup:
     exponents can be reduced mod p^N; the module docstring says when.
     """
 
-    __slots__ = ("ctx", "fiber_dim", "action", "_twist_cache", "_powers", "full")
+    __slots__ = ("ctx", "fiber_dim", "action", "_twist_cache", "_powers", "_full")
 
     def __init__(self, ctx: PadicContext, action: PMatrix):
         if action.ctx != ctx:
@@ -167,7 +170,7 @@ class SemidirectGroup:
         self.action = action
         self._twist_cache: dict[int, PMatrix] = {}
         self._powers = powers  # [E^0, ..., E^(K-1)] for E = M - I, with E^K = 0
-        self.full = None  # G as a SubgroupData, built by full_subgroup
+        self._full = None  # G as a SubgroupData, built by full_subgroup
 
     @property
     def dim(self) -> int:
@@ -382,10 +385,10 @@ def generated_subgroup(group: SemidirectGroup, gens) -> SubgroupData:
 
 def full_subgroup(group: SemidirectGroup) -> SubgroupData:
     """G itself, one stored object per group, so its [G, G] and G^p are built once."""
-    if group.full is None:
+    if group._full is None:
         x = GroupElement(1, (0,) * group.fiber_dim)
-        group.full = SubgroupData(group, x, Span.full(group.ctx, group.fiber_dim))
-    return group.full
+        group._full = SubgroupData(group, x, Span.full(group.ctx, group.fiber_dim))
+    return group._full
 
 
 def normal_closure(U: SubgroupData) -> SubgroupData:

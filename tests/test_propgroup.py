@@ -428,8 +428,8 @@ class TestClosedForms:
         monkeypatch.setattr(propgroup, "fixpoint", counted)
         for which in ORACLE_GROUPS:
             for g, U, _, _ in oracle_cases(which)[:20]:
-                commutator_subgroup(U)
-                normal_closure(U)
+                commutator_subgroup(fresh(U))  # fresh: other tests may have filled U's slots
+                normal_closure(fresh(U))
                 if U.witness is not None:
                     propgroup._twist_closure(g, U.fiber, U.witness.a)
         assert calls == []
@@ -490,14 +490,15 @@ class TestCanonicalForm:
         pairs = oracle_subgroups("dim-p")
         for g, V in pairs:
             propgroup.SubgroupData(g, V.witness, V.fiber)
-            normal_closure(V)
-            power_subgroup(V)
-            commutator_subgroup(V)
+            normal_closure(fresh(V))  # fresh objects, so the closed forms run with empty slots
+            power_subgroup(fresh(V))
+            commutator_subgroup(fresh(V))
             for _, W in pairs:
                 _ = V == W
         assert closures == [] and containments == []
         # a full group verdict, as the saturability check makes it: no closure, no conjugation
         for g in (oracle_groups("grid")[0], oracle_groups("dim-p")[0]):
+            g = SemidirectGroup(g.ctx, g.action)  # no stored G and no filled slot from other tests
             check_gamma_p_in_phi_p(g)
             verify_group_potent_filtration(g, lower_p_series_group(g))
         assert closures == [] and conjugations == []
@@ -528,7 +529,7 @@ class TestSubgroupSlots:
     def test_full_subgroup_is_stored_once_per_group(self):
         g = example42(PadicContext(5, 4))
         G = full_subgroup(g)
-        assert full_subgroup(g) is G and g.full is G
+        assert full_subgroup(g) is G and g._full is G
         other = SemidirectGroup(g.ctx, g.action)
         assert full_subgroup(other) is not G and full_subgroup(other).group is other
 
@@ -660,11 +661,11 @@ class TestSaturabilityChecks:
         def reference(g, chain):
             steps = []
             for i, (N, nxt) in enumerate(zip(chain, chain[1:])):
-                deep = N
+                deep = fresh(N)  # fresh objects: the verdict's filled slots are not reused
                 for _ in range(g.ctx.p - 1):
                     deep = commutator_subgroup(deep)
-                step_ok = nxt.contains(commutator_subgroup(N))
-                steps.append(PotencyStep(i + 1, step_ok, power_subgroup(nxt).contains(deep)))
+                step_ok = nxt.contains(commutator_subgroup(fresh(N)))
+                steps.append(PotencyStep(i + 1, step_ok, power_subgroup(fresh(nxt)).contains(deep)))
             return PotencyReport(steps, chain[-1].is_trivial())
 
         # class p = 3 through a Jordan block: [G,_2 G] lies in G^p and [G, G] does not
