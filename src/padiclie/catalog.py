@@ -18,7 +18,7 @@ from itertools import product
 from math import gcd
 
 from .bch import evaluate_words, hausdorff_table
-from .classifier import SimilarityDescriptor, classify, descriptors_equal
+from .classifier import SimilarityDescriptor, canonical_matrix, classify, descriptors_equal
 from .errors import (
     BadParameter,
     ContextMismatch,
@@ -31,6 +31,7 @@ from .lattice import Lattice
 from .linalg import (
     PMatrix,
     Span,
+    _nilpotency_degree_mod_p,
     isolated_kernel,
     mat_exp,
     solve_over_rows,
@@ -58,9 +59,7 @@ def _split_pair(A: PMatrix, labels, action: PMatrix | None = None):
 
 
 def _require_residually_nilpotent(A: PMatrix):
-    p = A.ctx.p
-    sq = A @ A
-    if any(e % p for row in sq.entries for e in row):
+    if _nilpotency_degree_mod_p(A) not in (1, 2):  # degree at most 2: A^2 = 0 mod p
         raise ResidualNilpotenceViolated("fiber matrix squared is nonzero mod p")
 
 
@@ -77,7 +76,8 @@ THM73_FAMILIES = ("G0", "G1", "G2", "G3", "G4", "G5")
 
 
 def thm73_fiber_matrix(ctx: PadicContext, family: str, params: dict) -> PMatrix:
-    """The fiber matrix A of a family member, parameter ranges enforced."""
+    """The fiber matrix A of a family member, parameter ranges enforced.  G1-G5 are
+    `canonical_matrix` of a descriptor; G0 is oriented unlike the `nilpotent` form."""
     p = ctx.p
     s = params.get("s")
     r = params.get("r")
@@ -94,26 +94,25 @@ def thm73_fiber_matrix(ctx: PadicContext, family: str, params: dict) -> PMatrix:
         return PMatrix(ctx, [[0, -(p**s)], [0, 0]])
     if family == "G1":
         need(s is not None and s >= 1, "G1 needs s >= 1")
-        return PMatrix(ctx, [[p**s, 0], [0, p**s]])
-    if family == "G2":
+        desc = SimilarityDescriptor("scalar", s=s)
+    elif family == "G2":
         need(s is not None and s >= 1, "G2 needs s >= 1")
         need(r is not None and r >= 1, "G2 needs r >= 1")
         need(d is not None, "G2 needs d")
-        ps, pr = p**s, p**r
-        return PMatrix(ctx, [[ps, ps * pr * d], [ps * pr, ps]])
-    if family == "G3":
+        desc = SimilarityDescriptor("scalarplus", s=s, r=r, d=d)
+    elif family == "G3":
         need(s is not None and s >= 0 and r is not None and r >= 0, "G3 needs s, r >= 0")
         need(d is not None, "G3 needs d")
         need(s >= 1 or (r >= 1 and d % p == 0), "G3 needs s >= 1, or r >= 1 with p | d")
-        ps = p**s
-        return PMatrix(ctx, [[0, ps * d], [ps, ps * p**r]])
-    if family in ("G4", "G5"):
+        desc = SimilarityDescriptor("tracecore", s=s, r=r, d=d)
+    elif family in ("G4", "G5"):
         need(s is not None and s >= 0 and r is not None and r >= 0, "needs s, r >= 0")
         need(s + r >= 1, "needs s + r >= 1")
-        ps, pr = p**s, p**r
-        top = pr if family == "G4" else pr * ctx.rho
-        return PMatrix(ctx, [[0, ps * top], [ps, 0]])
-    raise BadParameter(f"unknown family {family}")
+        residue = "square" if family == "G4" else "nonsquare"
+        desc = SimilarityDescriptor("zerotrace", s=s, r=r, residue=residue)
+    else:
+        raise BadParameter(f"unknown family {family}")
+    return canonical_matrix(desc, ctx)
 
 
 def make_thm73(ctx: PadicContext, family: str, params: dict, exp_action: bool = False):
@@ -195,14 +194,6 @@ class LeviReport:
     @property
     def passed(self):
         return self.powerful and self.radical_ok and self.defect_always_outside
-
-    def lines(self):
-        return [
-            f"[L,L] <= pL: {'ok' if self.powerful else 'FAIL'}",
-            f"radical = span(a,b): {'ok' if self.radical_ok else 'FAIL'}",
-            f"no-complement defect over {self.lifts_checked} lift offsets: "
-            f"{'ok' if self.defect_always_outside else 'FAIL'}",
-        ]
 
 
 def check_levi_example(L: Lattice, k: int) -> LeviReport:
@@ -435,11 +426,8 @@ def _ideal_basis_and_complement(L: Lattice, w1, w2):
 
 
 def _truncate_lattice(L: Lattice, precision: int) -> Lattice:
-    ctx2 = PadicContext(L.ctx.p, precision, L.ctx.rho)
-    constants = [
-        [[e % ctx2.modulus for e in vec] for vec in row] for row in L.constants
-    ]
-    return Lattice(ctx2, constants, L.labels, validate=False)
+    ctx = PadicContext(L.ctx.p, precision, L.ctx.rho)
+    return Lattice(ctx, L.constants, L.labels, validate=False)  # the constructor reduces them
 
 
 def _action_from_ideal_basis(L: Lattice, w1, w2) -> PMatrix:

@@ -52,6 +52,15 @@ def _emit(args, payload: dict):
             fh.write("\n")
 
 
+def _print_or_write(args, payload: dict) -> int:
+    if args.output:
+        _emit(args, payload)
+        print(f"wrote {args.output}")
+    else:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    return EXIT_OK
+
+
 # -- classify ----------------------------------------------------------------
 
 
@@ -360,14 +369,7 @@ def cmd_construct(args) -> int:
         known = ", ".join(sorted(e.name for e in catalog.CATALOG_MANIFEST))
         print(f"unknown object {name!r}; known: {known}", file=sys.stderr)
         return EXIT_INPUT
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(text)
-    return EXIT_OK
+    return _print_or_write(args, payload)
 
 
 def cmd_manifest(args) -> int:
@@ -406,15 +408,7 @@ def cmd_bch(args) -> int:
         if weight is None:
             print("usage: bch table WEIGHT", file=sys.stderr)
             return EXIT_INPUT
-        table = hausdorff_table(int(weight))
-        text = json.dumps(table.to_json(), indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {args.output}")
-        else:
-            print(text)
-        return EXIT_OK
+        return _print_or_write(args, hausdorff_table(int(weight)).to_json())
     second = {"mul": " Y", "comm": " Y", "pow": " EXPONENT"}.get(args.action, "")
     if args.lattice is None or args.x is None or (second and args.y is None):
         print(f"usage: bch {args.action} LATTICE X{second}", file=sys.stderr)

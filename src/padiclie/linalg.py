@@ -3,16 +3,16 @@
 Z/p^N is a chain ring, so Gaussian elimination that pivots on a
 minimum-valuation entry produces a canonical triangular basis with p-power
 pivots (the elementary-divisor form used everywhere in the package).  Every
-span comparison routes through that form.  The same elimination, run on
-rows augmented with an identity block, yields kernels of module maps.
+elimination to that form, inverses included, routes through `_eliminate`: run
+on rows with an identity block appended, it yields kernels and inverses too.
 
 The module also houses the matrix exponential and logarithm (convergent
 for p >= 5 on matrices whose square vanishes mod p, with truncation bounds
 computed from p and N rather than hard-coded), p-adic powers of
 unipotent-mod-p matrices, their binomial (Mahler) sums over a table of powers
-of M - I, and `fixpoint`, the one budgeted iteration behind
-every series and lattice closure in the package: a budget overrun raises
-`ClosureBudgetExceeded`.
+of M - I (at precision 1 the table's length is the nilpotency degree mod p),
+and `fixpoint`, the one budgeted iteration behind every series and lattice
+closure in the package: a budget overrun raises `ClosureBudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -56,6 +56,10 @@ def fixpoint(step, start, budget: int) -> list:
 
 def vec_add(u, v, mod):
     return tuple((a + b) % mod for a, b in zip(u, v))
+
+
+def vec_sub(u, v, mod):
+    return tuple((a - b) % mod for a, b in zip(u, v))
 
 
 def vec_scale(c, v, mod):
@@ -195,23 +199,13 @@ class PMatrix:
         return result
 
     def inverse(self) -> "PMatrix":
-        """Inverse of a matrix with unit determinant, by elimination on unit pivots."""
+        """Inverse of a unit-determinant matrix: the right half of the canonical form of [A | I]."""
         n = self.rows
-        mod = self.ctx.modulus
-        p = self.ctx.p
-        work = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.entries)]
-        for j in range(n):
-            piv = next((i for i in range(j, n) if work[i][j] % p != 0), None)
-            if piv is None:
-                raise NotAUnit("matrix is not invertible at this precision")
-            work[j], work[piv] = work[piv], work[j]
-            inv = self.ctx.inv(work[j][j])
-            work[j] = [(inv * e) % mod for e in work[j]]
-            for i in range(n):
-                if i != j and work[i][j]:
-                    c = work[i][j]
-                    work[i] = [(e - c * f) % mod for e, f in zip(work[i], work[j])]
-        return PMatrix(self.ctx, [row[n:] for row in work])
+        pivot_rows, _ = _augmented(self.entries, self.ctx, n)
+        if [(c, self.ctx.val(r[c])) for c, r in pivot_rows] != [(i, 0) for i in range(n)]:
+            raise NotAUnit("matrix is not invertible at this precision")
+        _reduce_above(pivot_rows, self.ctx, 2 * n)
+        return PMatrix._reduced(self.ctx, [r[n:] for _, r in pivot_rows])
 
     def lift(self, ctx: PadicContext) -> "PMatrix":
         """Canonical integer lift into a higher-precision context."""
@@ -580,18 +574,9 @@ def _val_factorial(n: int, p: int) -> int:
 
 
 def _nilpotency_degree_mod_p(A: PMatrix) -> int | None:
-    """Least k with A^k = 0 mod p, or None."""
-    p = A.ctx.p
-    n = A.rows
-    B = [[e % p for e in row] for row in A.entries]
-    for k in range(1, n + 1):
-        if all(e == 0 for row in B for e in row):
-            return k
-        B = [
-            [sum(B[i][t] * A.entries[t][j] for t in range(n)) % p for j in range(n)]
-            for i in range(n)
-        ]
-    return None
+    """Least k with A^k = 0 mod p, or None: the length of A's power table at precision 1."""
+    powers = powers_to_zero(PMatrix(PadicContext(A.ctx.p, 1, A.ctx.rho), A.entries), A.rows + 1)
+    return None if powers is None else len(powers)
 
 
 def _series_degree(A: PMatrix, what: str) -> int:

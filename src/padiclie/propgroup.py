@@ -17,6 +17,11 @@ of U with first coordinate p^e are the coset w^(u^-1) (U ∩ F), and
 (p^e, v)(0, f) = (p^e, v + f); so the witness (p^e, v) with v reduced
 modulo U ∩ F (`Span.reduce`) depends on U alone: equal subgroups have equal keys.
 
+Dividing by a witness power needs no inverse: when h.a = x.a = a, h^-1 x =
+(-a, -h.v M^(-a))(a, x.v) = (0, -h.v M^(-a) M^a + x.v) = (0, x.v - h.v).  So
+w^-lam x = (0, x.v - (w^lam).v) whenever x.a = lam a_w, as `contains_element`,
+`generated_subgroup` and `join` use.
+
 The subgroup generated by all p-th powers of U = (w, F, T = M^(a_w)) is
 generated by w^p and the span pF + F (T-1)^(p-1): expanding the geometric
 sum (1 + T^u + ... + T^((p-1)u)) binomially, every middle term has a
@@ -129,6 +134,7 @@ from .linalg import (
     powers_to_zero,
     vec_add,
     vec_scale,
+    vec_sub,
 )
 from .padic import PadicContext, PadicScalar
 
@@ -307,9 +313,7 @@ class SubgroupData:
         lam, r = divmod(x.a % mod, self.witness.a)
         if r:
             return False
-        rest = g.mul(g.inv(g.pow(self.witness, lam)), x)
-        assert rest.a % mod == 0
-        return self.fiber.member(rest.v)
+        return self.fiber.member(vec_sub(x.v, g.pow(self.witness, lam).v, mod))  # w^-lam x
 
     def contains(self, other: "SubgroupData") -> bool:
         return all(self.contains_element(x) for x in other.generators())
@@ -376,9 +380,7 @@ def generated_subgroup(group: SemidirectGroup, gens) -> SubgroupData:
         if g is witness:
             continue
         lam = g.a * uinv // ctx.p**e % mod
-        rest = group.mul(group.inv(group.pow(witness, lam)), g)
-        assert rest.a % mod == 0
-        fiber_vectors.append(rest.v)
+        fiber_vectors.append(vec_sub(g.v, group.pow(witness, lam).v, mod))  # w^-lam g
     fiber = _twist_closure(group, Span(ctx, group.fiber_dim, fiber_vectors), witness.a)
     return SubgroupData(group, witness, fiber)
 
@@ -403,8 +405,8 @@ def join(U: SubgroupData, V: SubgroupData) -> SubgroupData:
     group = U.group
     fiber = U.fiber.sum(V.fiber)
     if V.witness is not None:
-        x = group.mul(group.inv(group.pow(U.witness, V.witness.a // U.witness.a)), V.witness)
-        fiber = fiber.add_rows([x.v])
+        h = group.pow(U.witness, V.witness.a // U.witness.a)
+        fiber = fiber.add_rows([vec_sub(V.witness.v, h.v, group.ctx.modulus)])
     return SubgroupData(group, U.witness, fiber)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,47 @@ from padiclie.errors import (
 )
 from padiclie.lattice import Lattice
 from padiclie.linalg import Span
+
+
+def explicit_fiber_matrix(ctx, family, params):
+    """G1-G5 written out entry by entry, apart from the classifier's canonical matrices."""
+    p = ctx.p
+    s, r, d = (params.get(k) for k in "srd")
+
+    def need(cond, msg):
+        if not cond:
+            raise BadParameter(msg)
+
+    if family == "G1":
+        need(s is not None and s >= 1, "G1 needs s >= 1")
+        return PMatrix(ctx, [[p**s, 0], [0, p**s]])
+    if family == "G2":
+        need(s is not None and s >= 1, "G2 needs s >= 1")
+        need(r is not None and r >= 1, "G2 needs r >= 1")
+        need(d is not None, "G2 needs d")
+        ps, pr = p**s, p**r
+        return PMatrix(ctx, [[ps, ps * pr * d], [ps * pr, ps]])
+    if family == "G3":
+        need(s is not None and s >= 0 and r is not None and r >= 0, "G3 needs s, r >= 0")
+        need(d is not None, "G3 needs d")
+        need(s >= 1 or (r >= 1 and d % p == 0), "G3 needs s >= 1, or r >= 1 with p | d")
+        ps = p**s
+        return PMatrix(ctx, [[0, ps * d], [ps, ps * p**r]])
+    if family in ("G4", "G5"):
+        need(s is not None and s >= 0 and r is not None and r >= 0, "needs s, r >= 0")
+        need(s + r >= 1, "needs s + r >= 1")
+        ps, pr = p**s, p**r
+        top = pr if family == "G4" else pr * ctx.rho
+        return PMatrix(ctx, [[0, ps * top], [ps, 0]])
+    raise BadParameter(f"unknown family {family}")
+
+
+def outcome(build):
+    """The matrix entries, or the exception's type and text."""
+    try:
+        return build().entries
+    except BadParameter as exc:
+        return type(exc), str(exc)
 
 
 class TestTwoDim:
@@ -75,6 +117,40 @@ class TestThm73:
 
         with pytest.raises(ResidualNilpotenceViolated):
             _require_residually_nilpotent(PMatrix(ctx, [[1, 0], [0, 1]]))
+        # against A^2 mod p: every other matrix is a conjugated strictly upper triangular U
+        # plus p * noise, with A^2 = 0 mod p unless n = 3 and U_01 U_12 != 0 mod p
+        rng = random.Random(41)
+        seen = set()
+        for p, n in itertools.product((3, 5, 7), (2, 3)):
+            ctx = PadicContext(p, 4)
+            mod = ctx.modulus
+            for k in range(60):
+                A = PMatrix(ctx, [[rng.randrange(mod) for _ in range(n)] for _ in range(n)])
+                if k % 2:
+                    U = [[rng.randrange(p) * (j > i) for j in range(n)] for i in range(n)]
+                    P = [[rng.randrange(mod) * (j > i) + (i == j) for j in range(n)] for i in range(n)]
+                    Q = [[rng.randrange(mod) * (j < i) + (i == j) for j in range(n)] for i in range(n)]
+                    P = PMatrix(ctx, P) @ PMatrix(ctx, Q)  # unimodular
+                    A = P.inverse() @ PMatrix(ctx, U) @ P + p * A
+                square_zero = all(e % p == 0 for row in (A @ A).entries for e in row)
+                seen.add((n, square_zero))
+                if square_zero:
+                    _require_residually_nilpotent(A)
+                else:
+                    with pytest.raises(ResidualNilpotenceViolated, match="squared is nonzero mod p"):
+                        _require_residually_nilpotent(A)
+        assert seen == {(2, True), (2, False), (3, True), (3, False)}
+
+    def test_fiber_matrix_against_explicit_formulas(self):
+        values = (None, -2, -1, 0, 1, 2, 3)
+        for p, N in ((3, 1), (5, 2), (7, 4), (11, 8)):
+            ctx = PadicContext(p, N)
+            for family in ("G1", "G2", "G3", "G4", "G5", "G6"):
+                for s, r, d in itertools.product(values, values, values + (p, ctx.rho)):
+                    params = {k: v for k, v in zip("srd", (s, r, d)) if v is not None}
+                    expected = outcome(lambda: explicit_fiber_matrix(ctx, family, params))
+                    got = outcome(lambda: thm73_fiber_matrix(ctx, family, params))
+                    assert got == expected, (p, N, family, params)
 
     def test_g0_relations(self):
         ctx = PadicContext(5, 6)

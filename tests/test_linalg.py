@@ -1,13 +1,20 @@
 import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
 from padiclie import PadicContext, PMatrix, Span, linalg, mat_exp, mat_log, mat_pow_padic
-from padiclie.errors import ClosureBudgetExceeded, ConvergenceViolated, NotContained, NotProP
+from padiclie.errors import (
+    ClosureBudgetExceeded,
+    ConvergenceViolated,
+    NotAUnit,
+    NotContained,
+    NotProP,
+)
 from padiclie.linalg import (
+    _nilpotency_degree_mod_p,
     _series_bound,
     binomial_sum,
     binomials,
@@ -42,6 +49,37 @@ def random_square_zero(ctx, rng):
         sq = A @ A
         if all(e % ctx.p == 0 for row in sq.entries for e in row):
             return A
+
+
+def gauss_jordan_inverse(A):
+    """A^-1 by Gauss-Jordan elimination on unit pivots, a route apart from `_eliminate`."""
+    ctx, n = A.ctx, A.rows
+    mod, p = ctx.modulus, ctx.p
+    work = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(A.entries)]
+    for j in range(n):
+        piv = next((i for i in range(j, n) if work[i][j] % p != 0), None)
+        if piv is None:
+            raise NotAUnit("matrix is not invertible at this precision")
+        work[j], work[piv] = work[piv], work[j]
+        inv = pow(work[j][j], -1, mod)
+        work[j] = [(inv * e) % mod for e in work[j]]
+        for i in range(n):
+            if i != j and work[i][j]:
+                c = work[i][j]
+                work[i] = [(e - c * f) % mod for e, f in zip(work[i], work[j])]
+    return PMatrix(ctx, [row[n:] for row in work])
+
+
+def degree_by_plain_powers(A):
+    """Least k <= n with A^k = 0 mod p, or None, by products of residues mod p."""
+    p, n = A.ctx.p, A.rows
+    B = [[e % p for e in row] for row in A.entries]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        power = [[sum(power[i][t] * B[t][j] for t in range(n)) % p for j in range(n)] for i in range(n)]
+        if not any(map(any, power)):
+            return k
+    return None
 
 
 class TestSpan:
@@ -359,6 +397,27 @@ class TestMatrixFunctions:
             for _ in range(20):
                 P = random_invertible(ctx, n, rng)
                 assert P @ P.inverse() == PMatrix.identity(ctx, n)
+        # against Gauss-Jordan; every other matrix has a first row that is a combination
+        # of the others mod p, so half have a non-unit determinant and both routes raise
+        for p, N in product((2, 3, 5, 7), (1, 2, 3, 6)):
+            ctx = PadicContext(p, N)
+            for k in range(40):
+                n = rng.randint(1, 6)
+                A = random_invertible(ctx, n, rng)
+                if k % 2 == 0:
+                    assert A.inverse() == gauss_jordan_inverse(A)
+                    continue
+                rows = A.entries
+                coeffs = [rng.randrange(p) for _ in rows[1:]]
+                rows[0] = [
+                    p * rng.randrange(ctx.modulus) + sum(c * r[j] for c, r in zip(coeffs, rows[1:]))
+                    for j in range(n)
+                ]
+                A = PMatrix(ctx, rows)
+                with pytest.raises(NotAUnit):
+                    gauss_jordan_inverse(A)
+                with pytest.raises(NotAUnit, match="not invertible at this precision"):
+                    A.inverse()
 
     def test_matrix_serialization(self):
         ctx = PadicContext(5, 3)
@@ -395,6 +454,25 @@ class TestBinomialSums:
         ctx = ctx5()
         assert powers_to_zero(PMatrix(ctx, [[0, 1], [1, 0]]), 2 * ctx.precision) is None
         assert powers_to_zero(PMatrix.zero(ctx, 2), 8) == [PMatrix.identity(ctx, 2)]
+
+    def test_nilpotency_degree_mod_p_against_plain_powers(self):
+        rng = random.Random(23)
+        degrees = set()
+        for p, N in product((2, 3, 5, 7), (1, 2, 3, 6)):
+            ctx = PadicContext(p, N)
+            for k in range(30):
+                n = rng.randint(1, 6)
+                # even k: conjugated strictly upper triangular plus p * noise, nilpotent mod p
+                rows = [
+                    [rng.randrange(ctx.modulus) * (1 if j > i or k % 2 else p) for j in range(n)]
+                    for i in range(n)
+                ]
+                P = random_invertible(ctx, n, rng)
+                A = P.inverse() @ PMatrix(ctx, rows) @ P
+                expected = degree_by_plain_powers(A)
+                assert _nilpotency_degree_mod_p(A) == expected
+                degrees.add(expected)
+        assert None in degrees and {1, 2, 3} <= degrees
 
     def test_apply_row(self):
         ctx = ctx5()

@@ -20,6 +20,7 @@ from padiclie.linalg import fixpoint, solve_over_rows
 from padiclie import propgroup
 from padiclie.propgroup import (
     GammaPhiReport,
+    GroupElement,
     SemidirectGroup,
     check_gamma_p_in_phi_p,
     commutator_subgroup,
@@ -454,6 +455,22 @@ class TestCanonicalForm:
                         assert hash(X) == hash(Y)
             classes = {frozenset(j for j, Y in enumerate(subgroups) if X == Y) for X in subgroups}
             assert len(set(subgroups)) == len(classes)  # hashing agrees with equality
+
+    @pytest.mark.parametrize("which", ORACLE_GROUPS)
+    def test_witness_quotient_is_a_fiber_difference(self, which):
+        # w^-lam x = (0, x.v - (w^lam).v) when x.a = lam a_w, the identity behind
+        # contains_element, generated_subgroup and join, against the group law
+        rng = random.Random(37)
+        for g in oracle_groups(which):
+            p, mod = g.ctx.p, g.ctx.modulus
+            for e in (0, 1, 2) * 4:
+                w, x = random_element(g, rng), random_element(g, rng)
+                w = g.element(p**e * w.a, w.v)
+                lam = rng.randrange(mod)
+                h = g.pow(w, lam)
+                x = g.element(lam * w.a, x.v)
+                difference = tuple((a - b) % mod for a, b in zip(x.v, h.v))
+                assert g.mul(g.inv(h), x) == GroupElement(0, difference)
 
     @pytest.mark.parametrize("which", ORACLE_GROUPS)
     def test_witness_is_canonical(self, which):
