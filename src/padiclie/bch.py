@@ -21,7 +21,7 @@ from math import factorial
 
 from .errors import ClassTooLarge, CrossCheckMismatch
 from .lattice import Lattice
-from .linalg import PMatrix, mat_exp, mat_log, vec_add, vec_scale
+from .linalg import PMatrix, mat_exp, mat_log, vec_scale
 from .padic import PadicScalar
 
 # ---------------------------------------------------------------------------
@@ -331,7 +331,8 @@ def free_nilpotent_lattice(ctx, nil_class: int) -> Lattice:
 def nilpotency_class_checked(L: Lattice) -> int:
     """Nilpotency class at precision, raising ClassTooLarge when >= p.
 
-    The class is computed once per lattice and kept on it in `L.bch_class`.
+    The class is computed once per lattice and kept on it in `L.bch_class`,
+    beside the terms of its Hausdorff table reduced mod p^N in `L.bch_terms`.
     """
     c = L.bch_class
     if c is None:
@@ -344,15 +345,19 @@ def nilpotency_class_checked(L: Lattice) -> int:
             f"nilpotency class at precision is not below p = {L.ctx.p}; "
             "the series has p-divisible denominators here"
         )
-    return max(c, 1)
+    c = max(c, 1)
+    if L.bch_terms is None:
+        L.bch_terms = tuple((L.ctx.reduce_fraction(q), w) for q, w in hausdorff_table(c).terms)
+    return c
 
 
-def evaluate_words(table: BCHTable, u, v, bracket):
-    """Yield (coefficient, value) for each table term that is nonzero at X = u, Y = v.
+def evaluate_words(terms, u, v, bracket):
+    """Yield (coefficient, value) for each term (coefficient, word) nonzero at X = u, Y = v.
 
-    A left-normed word is its prefix bracketed with its last letter, so the
-    words share their prefixes: each distinct prefix is bracketed once per
-    call, and a zero prefix makes every longer word zero without a bracket.
+    `terms` is a table's terms, such as `BCHTable.terms`.  A left-normed word
+    is its prefix bracketed with its last letter, so the words share their
+    prefixes: each distinct prefix is bracketed once per call, and a zero
+    prefix makes every longer word zero without a bracket.
     """
     values = {"X": tuple(u), "Y": tuple(v)}
 
@@ -364,7 +369,7 @@ def evaluate_words(table: BCHTable, u, v, bracket):
             values[word] = val
         return val
 
-    for coeff, word in table.terms:
+    for coeff, word in terms:
         val = value(word)
         if any(val):
             yield coeff, val
@@ -372,12 +377,12 @@ def evaluate_words(table: BCHTable, u, v, bracket):
 
 def bch_mul(L: Lattice, u, v):
     """Group product on the lattice through the Hausdorff series."""
-    table = hausdorff_table(nilpotency_class_checked(L))
+    nilpotency_class_checked(L)
+    out = [0] * L.dim
+    for coeff, val in evaluate_words(L.bch_terms, u, v, L.bracket):
+        out = [o + coeff * x for o, x in zip(out, val)]
     mod = L.ctx.modulus
-    out = (0,) * L.dim
-    for coeff, val in evaluate_words(table, u, v, L.bracket):
-        out = vec_add(out, vec_scale(L.ctx.reduce_fraction(coeff), val, mod), mod)
-    return out
+    return tuple(o % mod for o in out)
 
 
 def bch_neg(L: Lattice, u):

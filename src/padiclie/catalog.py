@@ -77,7 +77,7 @@ THM73_FAMILIES = ("G0", "G1", "G2", "G3", "G4", "G5")
 
 def thm73_fiber_matrix(ctx: PadicContext, family: str, params: dict) -> PMatrix:
     """The fiber matrix A of a family member, parameter ranges enforced.  G1-G5 are
-    `canonical_matrix` of a descriptor; G0 is oriented unlike the `nilpotent` form."""
+    `canonical_matrix` of a descriptor (p odd); G0 is oriented unlike the `nilpotent` form."""
     p = ctx.p
     s = params.get("s")
     r = params.get("r")
@@ -112,6 +112,7 @@ def thm73_fiber_matrix(ctx: PadicContext, family: str, params: dict) -> PMatrix:
         desc = SimilarityDescriptor("zerotrace", s=s, r=r, residue=residue)
     else:
         raise BadParameter(f"unknown family {family}")
+    need(p != 2, f"{family} needs an odd prime, got p = 2")  # the classification assumes p odd
     return canonical_matrix(desc, ctx)
 
 
@@ -340,7 +341,7 @@ class FiniteLieRing:
 
     def mul(self, u, v):
         out = self.zero()
-        for coeff, val in evaluate_words(self._series_table, u, v, self.bracket):
+        for coeff, val in evaluate_words(self._series_table.terms, u, v, self.bracket):
             out = self.add(out, self.scale(coeff, val))
         return out
 

@@ -1,5 +1,12 @@
 """Lie lattices over Z/p^N given by structure constants.
 
+The dense `constants` share one tuple for every zero vector; the sparse view
+keeps half of them, (i, j, c_ij) for i <= j and c_ij nonzero.  Antisymmetry
+(so `validate=False` is for antisymmetric constants only) gives
+[u, v] = sum_(i<j) (u_i v_j - u_j v_i) c_ij + sum_i u_i v_i c_ii, reduced once.
+The diagonal is kept because at p = 2 a c_ii of entries 0 and 2^(N-1) is
+antisymmetric and nonzero.
+
 Series computations stop at stabilisation-at-precision, and every "zero"
 below means zero mod p^N: the ring cannot distinguish 0 from p^N.  Reports
 carry the precision through the context they reference.
@@ -35,17 +42,19 @@ class Lattice:
     checks antisymmetry and the Jacobi identity on all basis triples.
     """
 
-    __slots__ = ("ctx", "dim", "labels", "constants", "bch_class", "dim3_invariant")
+    __slots__ = ("ctx", "dim", "labels", "constants", "_sparse", "bch_class", "bch_terms", "dim3_invariant")
 
     def __init__(self, ctx: PadicContext, constants, labels=None, validate=True):
         self.ctx = ctx
         self.bch_class: int | None = None  # set by bch.nilpotency_class_checked
+        self.bch_terms: tuple | None = None  # set with it: the series terms reduced mod p^N
         self.dim3_invariant: tuple | None = None  # set by catalog.dim3_invariant
-        self.dim = len(constants)
+        self.dim = d = len(constants)
         mod = ctx.modulus
-        self.constants = tuple(
-            tuple(tuple(int(e) % mod for e in vec) for vec in row) for row in constants
-        )
+        zero = (0,) * d
+        reduced = ((tuple(int(e) % mod for e in vec) for vec in row) for row in constants)
+        # a zero vector of the wrong length keeps its own tuple, for the shape check below
+        self.constants = tuple(tuple(c if any(c) or len(c) != d else zero for c in row) for row in reduced)
         if labels is None:
             labels = tuple(f"b{i+1}" for i in range(self.dim))
         self.labels = tuple(labels)
@@ -55,18 +64,20 @@ class Lattice:
             len(vec) != self.dim for row in self.constants for vec in row
         ):
             raise ValueError("structure constant array is not d x d x d")
+        self._sparse = tuple(
+            (i, j, row[j]) for i, row in enumerate(self.constants) for j in range(i, d) if row[j] is not zero
+        )
         if validate:
             self._validate()
 
     def _validate(self):
         mod = self.ctx.modulus
         for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if (self.constants[i][j][k] + self.constants[j][i][k]) % mod:
-                        raise AntisymmetryViolated(
-                            f"c[{self.labels[i]},{self.labels[j]}] != -c[{self.labels[j]},{self.labels[i]}]"
-                        )
+            for j in range(i, self.dim):
+                if any((a + b) % mod for a, b in zip(self.constants[i][j], self.constants[j][i])):
+                    raise AntisymmetryViolated(
+                        f"c[{self.labels[i]},{self.labels[j]}] != -c[{self.labels[j]},{self.labels[i]}]"
+                    )
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
@@ -88,23 +99,46 @@ class Lattice:
         return tuple(1 if k == i else 0 for k in range(self.dim))
 
     def bracket(self, u, v):
-        """Bilinear extension of the structure constants to vectors."""
-        mod = self.ctx.modulus
+        """Bilinear extension of the structure constants to vectors (see the module docstring)."""
         out = [0] * self.dim
-        for i, a in enumerate(u):
-            if a % mod == 0:
-                continue
-            for j, b in enumerate(v):
-                ab = (a * b) % mod
-                if ab:
-                    cij = self.constants[i][j]
-                    for k in range(self.dim):
-                        if cij[k]:
-                            out[k] = (out[k] + ab * cij[k]) % mod
-        return tuple(out)
+        for i, j, c in self._sparse:
+            a = u[i] * v[j] - u[j] * v[i] if i != j else u[i] * v[i]
+            if a:
+                for k, x in enumerate(c):
+                    if x:
+                        out[k] += a * x
+        mod = self.ctx.modulus
+        return tuple(o % mod for o in out)
+
+    def _is_full(self, S: Span) -> bool:
+        return len(S.pivots) == self.dim and not any(e for _, e in S.pivots)
+
+    def _brackets_with_basis(self, s):
+        """[s, b_0], ..., [s, b_(d-1)] unreduced, in one sweep over the constants."""
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        for i, j, c in self._sparse:
+            a = s[i]  # [b_i, b_j] = c puts s_i c into [s, b_j]
+            b = s[j] if i != j else 0  # and [b_j, b_i] = -c puts -s_j c into [s, b_i]
+            if a or b:
+                row_j, row_i = rows[j], rows[i]
+                for k, x in enumerate(c):
+                    if x:
+                        row_j[k] += a * x
+                        row_i[k] -= b * x
+        return rows
 
     def bracket_span(self, S: Span, T: Span) -> Span:
-        gens = [self.bracket(s, t) for s in S.rows for t in T.rows]
+        """[S, T], spanned by the brackets of their rows.  When one side is all of L, the
+        rows [s, b_j] come from one sweep over the constants, and [L, L] is the span of
+        the stored c_ij; a canonical span does not depend on its generators (see linalg)."""
+        if self._is_full(S):
+            S, T = T, S  # [S, T] = [T, S] as spans
+        if not self._is_full(T):
+            gens = [self.bracket(s, t) for s in S.rows for t in T.rows]
+        elif self._is_full(S):
+            gens = [c for _, _, c in self._sparse]
+        else:
+            gens = [row for s in S.rows for row in self._brackets_with_basis(s)]
         return Span(self.ctx, self.dim, gens)
 
     def full_span(self) -> Span:
@@ -114,8 +148,8 @@ class Lattice:
         return Span.zero(self.ctx, self.dim)
 
     def ad_matrix(self, v) -> PMatrix:
-        """Matrix of u -> [u, v] acting on row vectors."""
-        return PMatrix(self.ctx, [self.bracket(self.basis_vector(i), v) for i in range(self.dim)])
+        """Matrix of u -> [u, v] acting on row vectors: row i is [b_i, v] = -[v, b_i]."""
+        return PMatrix(self.ctx, [[-e for e in row] for row in self._brackets_with_basis(v)])
 
     # -- series ------------------------------------------------------------
 
@@ -220,12 +254,8 @@ class Lattice:
         """Isolated span of v with [v, s] = 0 at precision for all generators s."""
         if S.is_zero():
             return self.full_span()
-        rows = []
-        for i in range(self.dim):
-            row = []
-            for s in S.rows:
-                row.extend(self.bracket(self.basis_vector(i), s))
-            rows.append(row)
+        ads = [self.ad_matrix(s).entries for s in S.rows]
+        rows = [[e for ad in ads for e in ad[i]] for i in range(self.dim)]  # row i: [b_i, s] for each s
         return isolated_kernel(rows, self.ctx, self.dim * len(S.rows))
 
     def two_dim_invariant(self):
@@ -311,12 +341,7 @@ class Lattice:
 
     def _brackets(self):
         """(i, j, c) for each i < j with [b_i, b_j] = c nonzero."""
-        return [
-            (i, j, self.constants[i][j])
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-            if any(self.constants[i][j])
-        ]
+        return [(i, j, c) for i, j, c in self._sparse if i != j]
 
     def to_json(self) -> dict:
         return {

@@ -6,6 +6,13 @@ pivots (the elementary-divisor form used everywhere in the package).  Every
 elimination to that form, inverses included, routes through `_eliminate`: run
 on rows with an identity block appended, it yields kernels and inverses too.
 
+The form depends only on the module M spanned, not on the generators: the
+closure rows make the pivot rows from column c on generate the members of M
+zero before c (the Howell property), so the pivot at c is p^e for the ideal
+p^e of their entries at c, and two pivot rows at c differ by a combination
+of later pivot rows, which `_reduce_above` fixes by leaving each entry above
+a later pivot p^e in [0, p^e).
+
 The module also houses the matrix exponential and logarithm (convergent
 for p >= 5 on matrices whose square vanishes mod p, with truncation bounds
 computed from p and N rather than hard-coded), p-adic powers of
@@ -236,57 +243,59 @@ class PMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(rows, ctx, dim, width):
-    """Howell-style elimination pivoting on the first `dim` of `width` columns.
+def _eliminate(rows, ctx, dim):
+    """Howell-style elimination pivoting on the first `dim` columns of the rows.
 
     Returns (pivot_rows, zero_rows): pivot_rows is a list of (col, row) with
     pivot entry exactly p^e at `col`; zero_rows have their first `dim`
     columns identically zero mod p^N.  The closure rows p^(N-e) * pivot_row
     are fed back in, which is what makes the form canonical over Z/p^N.
+    The input rows are reduced once on entry; every entry after that is a
+    residue, and only the rows changed at a column are tested for zero.
     """
     mod = ctx.modulus
     N = ctx.precision
     p = ctx.p
-    active = [list(r) for r in rows if any(e % mod for e in r)]
+    active = [r for r in ([e % mod for e in r] for r in rows) if any(r)]
     pivot_rows = []
-    zero_rows = []
     for col in range(dim):
         best = None
         bestv = N
-        for r in active:
-            e = r[col] % mod
+        for idx, r in enumerate(active):
+            e = r[col]
             if e:
                 v = ctx.val(e)
                 if v < bestv:
-                    bestv = v
-                    best = r
+                    bestv, best = v, idx
                     if v == 0:
                         break
         if best is None:
             continue
-        active.remove(best)
-        v, u = ctx.unit_part(best[col])
-        uinv = ctx.inv(u)
-        row = [(uinv * e) % mod for e in best]
-        piv = p**v
+        piv_row = active.pop(best)
+        piv = p**bestv
+        uinv = pow(piv_row[col] // piv, -1, mod)
+        row = [(uinv * e) % mod for e in piv_row]
+        support = [(k, b) for k, b in enumerate(row) if b]
+        kept = []
         for r in active:
-            e = r[col] % mod
-            if e:
-                q = e // piv
-                for k in range(col, width):
-                    r[k] = (r[k] - q * row[k]) % mod
-        if v > 0:
-            c = p ** (N - v)
+            q = r[col] // piv  # exact: no active entry here has valuation below bestv
+            if q:
+                for k, b in support:
+                    r[k] = (r[k] - q * b) % mod
+                if not any(r):
+                    continue
+            kept.append(r)
+        if bestv:
+            c = p ** (N - bestv)
             closure = [(c * e) % mod for e in row]
-            if any(closure[k] for k in range(width)):
-                active.append(closure)
+            if any(closure):
+                kept.append(closure)
+        active = kept
         pivot_rows.append((col, row))
-        active = [r for r in active if any(e % mod for e in r)]
     for r in active:
-        if any(r[k] % mod for k in range(dim)):
+        if any(r[k] for k in range(dim)):
             raise AssertionError("elimination left mass in pivot columns")
-        zero_rows.append([e % mod for e in r])
-    return pivot_rows, zero_rows
+    return pivot_rows, active
 
 
 def _reduce_above(pivot_rows, ctx, width):
@@ -318,7 +327,7 @@ class Span:
     def __init__(self, ctx: PadicContext, dim: int, generators=()):
         self.ctx = ctx
         self.dim = dim
-        pivot_rows, _ = _eliminate(generators, ctx, dim, dim)
+        pivot_rows, _ = _eliminate(generators, ctx, dim)
         _reduce_above(pivot_rows, ctx, dim)
         self.rows = tuple(tuple(r) for _, r in pivot_rows)
         self.pivots = tuple((c, ctx.val(r[c])) for c, r in pivot_rows)
@@ -473,7 +482,7 @@ def _augmented(rows, ctx, dim):
     columns of each output row record the combination of the inputs it is."""
     n = len(rows)
     aug = [list(r) + [1 if k == i else 0 for k in range(n)] for i, r in enumerate(rows)]
-    return _eliminate(aug, ctx, dim, dim + n)
+    return _eliminate(aug, ctx, dim)
 
 
 def left_kernel(rows, ctx, dim) -> list[Vector]:

@@ -195,7 +195,7 @@ class TestWordEvaluation:
                 for letter in word[1:]:
                     val = ("[", val, letters[letter])
                 expected.append((coeff, val))
-            assert list(evaluate_words(table, ("X",), ("Y",), bracket)) == expected
+            assert list(evaluate_words(table.terms, ("X",), ("Y",), bracket)) == expected
             assert len(calls) == brackets
 
 

@@ -111,6 +111,12 @@ class TestConstructAndUse:
         assert data["lattice"]["dim"] == 3
         assert len(data["group"]["action"]) == 2
 
+    @pytest.mark.parametrize("family", ["G1", "G2", "G3", "G4", "G5"])
+    def test_construct_rejects_p2(self, capsys, family):
+        code, out, err = run(capsys, "construct", family, "--p", "2", "--s", "1", "--r", "1", "--d", "2")
+        assert (code, out) == (2, "")
+        assert family in err and "Traceback" not in err
+
     def test_construct_to_stdout_deterministic(self, capsys):
         a = run(capsys, "construct", "sl2tri", "--p", "5", "--N", "6")
         b = run(capsys, "construct", "sl2tri", "--p", "5", "--N", "6")

@@ -64,6 +64,19 @@ class TestValidation:
         with pytest.raises(AntisymmetryViolated):
             Lattice(ctx, constants)
 
+    def test_shape_check_sees_zero_vectors(self):
+        # zero vectors are stored as one shared tuple; one of the wrong length must not become it
+        ctx = PadicContext(5, 4)
+        for bad in ([0], [0, 0, 0], [5**4, 0, 0]):
+            constants = [[[0, 0] for _ in range(2)] for _ in range(2)]
+            constants[1][0] = bad
+            for validate in (True, False):
+                with pytest.raises(ValueError, match="not d x d x d"):
+                    Lattice(ctx, constants, validate=validate)
+        L = heisenberg(ctx)
+        zeros = {id(c) for row in L.constants for c in row if not any(c)}
+        assert len(zeros) == 1
+
 
 class TestBracket:
     def test_alternating(self):
