@@ -1,11 +1,11 @@
 """The Hausdorff series as evaluable left-normed bracket words.
 
-Generation and verification are deliberately kept on separate routes: the
-table coefficients come from Dynkin's explicit summation formula (nested
-brackets, rewritten onto left-normed words by antisymmetry/Jacobi), while
-the test oracle multiplies truncated exponential series in the free
-associative algebra and takes the logarithm.  The two must agree
-coefficient-by-coefficient.
+Generation and verification are deliberately kept on separate routes, and
+both work in the free associative algebra, where a bracket is ab - ba: the
+table coefficients come from Dynkin's explicit summation formula, its nested
+brackets expanded and solved onto the canonical left-normed basis words,
+while the test oracle multiplies truncated exponential series and takes the
+logarithm.  The two must agree coefficient-by-coefficient.
 
 On a lattice whose nilpotency class c at precision satisfies c < p, the
 table defines the group law x*y; all coefficient denominators then have
@@ -89,68 +89,18 @@ def log_series(Q: dict, W: int) -> dict:
     return out
 
 
+def poly_bracket(a: dict, b: dict, W: int) -> dict:
+    """ab - ba, truncated at weight W."""
+    return poly_add(poly_mul(a, b, W), poly_scale(-1, poly_mul(b, a, W)))
+
+
 @lru_cache(maxsize=None)
 def word_to_assoc(word: str) -> tuple:
     """Associative expansion of the left-normed bracket [w_1, ..., w_k]."""
     if len(word) == 1:
         return ((word, Fraction(1)),)
-    head = dict(word_to_assoc(word[:-1]))
-    last = {word[-1]: Fraction(1)}
-    W = len(word)
-    out = poly_add(poly_mul(head, last, W), poly_scale(-1, poly_mul(last, head, W)))
+    out = poly_bracket(dict(word_to_assoc(word[:-1])), {word[-1]: Fraction(1)}, len(word))
     return tuple(sorted(out.items()))
-
-
-def _normalize_word(word: str):
-    """Order the first two letters; words starting with a repeat vanish."""
-    if len(word) >= 2:
-        if word[0] == word[1]:
-            return None
-        if word[0] > word[1]:
-            return (-1, word[1] + word[0] + word[2:])
-    return (1, word)
-
-
-@lru_cache(maxsize=None)
-def _word_bracket(wa: str, wb: str) -> tuple:
-    """[A, B] for left-normed words, as a combination of left-normed words.
-
-    Uses [A, [P, b]] = [[A, P], b] - [[A, b], P] to peel B down to letters.
-    """
-    if wa == wb:
-        return ()
-    if len(wb) == 1:
-        norm = _normalize_word(wa + wb)
-        if norm is None:
-            return ()
-        sign, w = norm
-        return ((w, Fraction(sign)),)
-    prefix, last = wb[:-1], wb[-1]
-    out: dict[str, Fraction] = {}
-    for w, c in _word_bracket(wa, prefix):
-        for w2, c2 in _word_bracket(w, last):
-            _accumulate(out, w2, c * c2)
-    for w, c in _word_bracket(wa, last):
-        for w2, c2 in _word_bracket(w, prefix):
-            _accumulate(out, w2, -c * c2)
-    return tuple(sorted(out.items()))
-
-
-def _combo_bracket(a: dict, b: dict) -> dict:
-    out: dict[str, Fraction] = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            for w, c in _word_bracket(wa, wb):
-                _accumulate(out, w, ca * cb * c)
-    return out
-
-
-def right_nested_to_words(letters: str) -> dict:
-    """[a_1, [a_2, [... [a_{m-1}, a_m]]]] as left-normed words."""
-    combo = {letters[-1]: Fraction(1)}
-    for letter in reversed(letters[:-1]):
-        combo = _combo_bracket({letter: Fraction(1)}, combo)
-    return combo
 
 
 class _DegreeSolver:
@@ -213,17 +163,11 @@ def lie_basis_words(m: int) -> list[str]:
     return list(_degree_solver(m).words)
 
 
-def reduce_to_basis(combo: dict) -> dict[str, Fraction]:
-    """Rewrite a combination of left-normed words onto the canonical basis."""
-    by_degree: dict[int, dict] = {}
-    for w, c in combo.items():
-        by_degree.setdefault(len(w), {})
-        vec = poly_scale(c, dict(word_to_assoc(w)))
-        by_degree[len(w)] = poly_add(by_degree[len(w)], vec)
+def reduce_to_basis(vec: dict) -> dict[str, Fraction]:
+    """Coefficients over the canonical basis words of a Lie element given associatively."""
     out: dict[str, Fraction] = {}
-    for m, vec in by_degree.items():
-        if vec:
-            out.update(_degree_solver(m).solve(vec))
+    for m in {len(w) for w in vec}:
+        out.update(_degree_solver(m).solve({w: c for w, c in vec.items() if len(w) == m}))
     return out
 
 
@@ -277,17 +221,22 @@ def hausdorff_table(W: int) -> BCHTable:
     """Hausdorff series up to weight W via Dynkin's summation formula."""
     if W < 1:
         raise ValueError("weight must be >= 1")
-    acc: dict[str, Fraction] = {}
+    # Dynkin coefficient of each right-nested bracket [a_1, [a_2, ... a_w]],
+    # summed over the compositions that spell the same letters a_1 ... a_w
+    coeffs: dict[str, Fraction] = {}
     for seq in _pair_compositions(W):
         n = len(seq)
-        word = "".join("X" * r + "Y" * s for r, s in seq)
-        w = len(word)
-        denom = n * w
+        letters = "".join("X" * r + "Y" * s for r, s in seq)
+        denom = n * len(letters)
         for r, s in seq:
             denom *= factorial(r) * factorial(s)
-        coeff = Fraction((-1) ** (n - 1), denom)
-        for wrd, c in right_nested_to_words(word).items():
-            _accumulate(acc, wrd, coeff * c)
+        _accumulate(coeffs, letters, Fraction((-1) ** (n - 1), denom))
+    acc: dict[str, Fraction] = {}
+    for letters, coeff in coeffs.items():
+        nested = {letters[-1]: coeff}
+        for letter in reversed(letters[:-1]):
+            nested = poly_bracket({letter: Fraction(1)}, nested, W)
+        acc = poly_add(acc, nested)
     reduced = reduce_to_basis(acc)
     terms = tuple(sorted(((c, w) for w, c in reduced.items()), key=lambda t: (len(t[1]), t[1])))
     return BCHTable(W, terms)
@@ -304,8 +253,9 @@ def free_nilpotent_lattice(ctx, nil_class: int) -> Lattice:
     """The free nilpotent Lie lattice on X, Y of the given class.
 
     Basis: the canonical left-normed basis words up to the class; structure
-    constants come from rewriting word brackets onto that basis, so the
-    lattice doubles as an independent evaluation ground for the series.
+    constants come from solving each word bracket, expanded as ab - ba, onto
+    that basis, so the lattice doubles as an independent evaluation ground
+    for the series.
     """
     if nil_class >= ctx.p:
         raise ValueError("the class must stay below p for integral constants")
@@ -318,7 +268,8 @@ def free_nilpotent_lattice(ctx, nil_class: int) -> Lattice:
             if len(u) + len(words[j]) > nil_class:
                 continue
             c = [0] * d
-            for w, coeff in reduce_to_basis(dict(_word_bracket(u, words[j]))).items():
+            uw = poly_bracket(dict(word_to_assoc(u)), dict(word_to_assoc(words[j])), nil_class)
+            for w, coeff in reduce_to_basis(uw).items():
                 c[index[w]] = ctx.reduce_fraction(coeff)
             brackets.append((i, j, c))
     return Lattice.from_brackets(ctx, d, brackets, tuple(words))

@@ -589,6 +589,8 @@ CATALOG_MANIFEST = (
 
 def thm73_grid(ctx: PadicContext, s_values=(0, 1, 2), r_values=(0, 1, 2), d_values=None):
     """All valid family members over a small parameter grid, deduplicated by label."""
+    if ctx.p == 2:
+        raise BadParameter("the Theorem 7.3 grid needs an odd prime, got p = 2")
     if d_values is None:
         d_values = (0, 1, ctx.rho, ctx.p)
     out = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import PrecisionExhausted, ScaleTooLarge
 from .linalg import PMatrix
-from .padic import PadicContext, is_prime
+from .padic import PadicContext, is_prime, is_square_unit
 
 BRUTE_FORCE_CAP = 500_000
 
@@ -61,10 +61,6 @@ def descriptors_equal(a: SimilarityDescriptor, b: SimilarityDescriptor, p: int) 
         return True
     common = min(a.dprec, b.dprec)
     return (a.d - b.d) % p**common == 0
-
-
-def _is_square_unit(w: int, p: int) -> bool:
-    return pow(w % p, (p - 1) // 2, p) == 1
 
 
 def classify(A: PMatrix, strict: bool = True) -> SimilarityDescriptor:
@@ -137,7 +133,7 @@ def classify(A: PMatrix, strict: bool = True) -> SimilarityDescriptor:
     r = ctx.val(det)
     _strict(s + r)
     w = det // p**r
-    residue = "square" if _is_square_unit(-w % p, p) else "nonsquare"
+    residue = "square" if is_square_unit(-w % p, p) else "nonsquare"
     return SimilarityDescriptor("zerotrace", s=s, r=r, residue=residue)
 
 

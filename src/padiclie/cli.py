@@ -365,6 +365,9 @@ def cmd_construct(args) -> int:
         ctx = PadicContext(2, args.N if args.N is not None else 8)
         group = catalog.make_p2_groups(ctx, "+" if name == "p2-plus" else "-", args.s)
         payload["group"] = group.to_json()
+    elif name == "p3-pair":
+        print("p3-pair is two finite Lie rings, with no JSON form; see `padiclie verify p3-pair`", file=sys.stderr)
+        return EXIT_INPUT
     else:
         known = ", ".join(sorted(e.name for e in catalog.CATALOG_MANIFEST))
         print(f"unknown object {name!r}; known: {known}", file=sys.stderr)

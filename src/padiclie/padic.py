@@ -31,13 +31,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_square_unit(w: int, p: int) -> bool:
+    """Euler's criterion: whether w, a unit, is a square modulo the odd prime p."""
+    return pow(w % p, (p - 1) // 2, p) == 1
+
+
 def find_nonresidue(p: int) -> int:
     """Smallest positive integer that is not a square modulo the odd prime p."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
-    squares = {(x * x) % p for x in range(1, p)}
     r = 2
-    while r % p in squares:
+    while is_square_unit(r, p):
         r += 1
     return r
 
@@ -62,7 +66,7 @@ class PadicContext:
         elif rho is None:
             self.rho = find_nonresidue(p)
         else:
-            if rho % p == 0 or pow(rho % p, (p - 1) // 2, p) != p - 1:
+            if rho % p == 0 or is_square_unit(rho, p):
                 raise ValueError(f"rho = {rho} is not a unit non-residue mod {p}")
             self.rho = rho % self.modulus
 

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
 import pytest
 
 from padiclie import PadicContext, PMatrix, mat_exp, mat_log
 from padiclie.bch import (
-    _word_bracket,
+    _accumulate,
+    _pair_compositions,
     bch_commutator,
     bch_mul,
     bch_neg,
@@ -19,10 +22,77 @@ from padiclie.bch import (
     poly_add,
     poly_scale,
     reduce_to_basis,
+    word_to_assoc,
 )
 from padiclie.catalog import make_example_dim_p
 from padiclie.errors import ClassTooLarge
 from padiclie.lattice import Lattice
+
+
+def _normalize_word(word: str):
+    """Order the first two letters; words starting with a repeat vanish."""
+    if len(word) >= 2:
+        if word[0] == word[1]:
+            return None
+        if word[0] > word[1]:
+            return (-1, word[1] + word[0] + word[2:])
+    return (1, word)
+
+
+@lru_cache(maxsize=None)
+def jacobi_word_bracket(wa: str, wb: str) -> tuple:
+    """Oracle: [A, B] for left-normed words as left-normed words, by the Jacobi rewriter.
+
+    Uses [A, [P, b]] = [[A, P], b] - [[A, b], P] to peel B down to letters; it
+    never leaves the Lie words, unlike the library's ab - ba expansion.
+    """
+    if wa == wb:
+        return ()
+    if len(wb) == 1:
+        norm = _normalize_word(wa + wb)
+        if norm is None:
+            return ()
+        sign, w = norm
+        return ((w, Fraction(sign)),)
+    prefix, last = wb[:-1], wb[-1]
+    out: dict[str, Fraction] = {}
+    for w, c in jacobi_word_bracket(wa, prefix):
+        for w2, c2 in jacobi_word_bracket(w, last):
+            _accumulate(out, w2, c * c2)
+    for w, c in jacobi_word_bracket(wa, last):
+        for w2, c2 in jacobi_word_bracket(w, prefix):
+            _accumulate(out, w2, -c * c2)
+    return tuple(sorted(out.items()))
+
+
+def jacobi_reduce(combo: dict) -> dict:
+    """A combination of left-normed words on the canonical basis."""
+    vec: dict[str, Fraction] = {}
+    for w, c in combo.items():
+        vec = poly_add(vec, poly_scale(c, dict(word_to_assoc(w))))
+    return reduce_to_basis(vec)
+
+
+def jacobi_hausdorff_terms(W: int) -> tuple:
+    """Oracle: Dynkin's formula, one right-nested bracket per composition, by the rewriter."""
+    acc: dict[str, Fraction] = {}
+    for seq in _pair_compositions(W):
+        n = len(seq)
+        letters = "".join("X" * r + "Y" * s for r, s in seq)
+        denom = n * len(letters)
+        for r, s in seq:
+            denom *= factorial(r) * factorial(s)
+        nested = {letters[-1]: Fraction(1)}
+        for letter in reversed(letters[:-1]):
+            combo: dict[str, Fraction] = {}
+            for wb, cb in nested.items():
+                for w, c in jacobi_word_bracket(letter, wb):
+                    _accumulate(combo, w, cb * c)
+            nested = combo
+        for w, c in nested.items():
+            _accumulate(acc, w, Fraction((-1) ** (n - 1), denom) * c)
+    reduced = jacobi_reduce(acc)
+    return tuple(sorted(((c, w) for w, c in reduced.items()), key=lambda t: (len(t[1]), t[1])))
 
 
 def heisenberg(ctx):
@@ -67,6 +137,11 @@ class TestTable:
         table = hausdorff_table(6)
         assert poly_add(table.as_assoc(), poly_scale(-1, hausdorff_oracle(6))) == {}
 
+    @pytest.mark.parametrize("W", range(1, 7))
+    def test_matches_jacobi_rewriter_route(self, W):
+        # the same Dynkin sum, with each composition's bracket rewritten by the oracle
+        assert hausdorff_table(W).terms == jacobi_hausdorff_terms(W)
+
     def test_basis_dimensions_are_witt_numbers(self):
         assert [len(lie_basis_words(m)) for m in range(1, 7)] == [2, 1, 2, 3, 6, 9]
 
@@ -78,7 +153,8 @@ class TestTable:
 
 class TestFreeNilpotentEvaluation:
     def test_constants_match_both_orders_reduced(self):
-        # oracle: every ordered pair of words reduced on its own, with no antisymmetry used
+        # oracle: every ordered pair of words bracketed by the Jacobi rewriter and
+        # reduced on its own, with no antisymmetry used
         for p in (5, 7):
             ctx = PadicContext(p, 4)
             for nil_class in (1, 2, 3, 4):
@@ -90,7 +166,7 @@ class TestFreeNilpotentEvaluation:
                 for i, u in enumerate(words):
                     for j, v in enumerate(words):
                         if len(u) + len(v) <= nil_class:
-                            for w, c in reduce_to_basis(dict(_word_bracket(u, v))).items():
+                            for w, c in jacobi_reduce(dict(jacobi_word_bracket(u, v))).items():
                                 expected[i][j][words.index(w)] = ctx.reduce_fraction(c)
                 assert [[list(vec) for vec in row] for row in L.constants] == expected
 

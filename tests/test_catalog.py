@@ -194,6 +194,10 @@ class TestThm73:
         A = thm73_fiber_matrix(ctx, "G4", {"s": 1, "r": 1})
         assert descriptors_equal(classify(mat_log(grp.action)), classify(A), 5)
 
+    def test_grid_rejects_p2(self):
+        with pytest.raises(BadParameter, match="odd prime"):
+            thm73_grid(PadicContext(2, 6))
+
     def test_grid_members_all_validate(self):
         ctx = PadicContext(5, 8)
         grid = thm73_grid(ctx)

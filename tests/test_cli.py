@@ -203,6 +203,12 @@ class TestConstructAndUse:
         assert out == ""
         assert "input error" in err and "bracket" in err
 
+    def test_construct_p3_pair_points_to_verify(self, capsys):
+        # the pair is two finite Lie rings, which construct cannot write as JSON
+        code, out, err = run(capsys, "construct", "p3-pair")
+        assert (code, out) == (2, "")
+        assert "unknown" not in err and "verify p3-pair" in err
+
     def test_construct_unknown(self, capsys):
         code, _, err = run(capsys, "construct", "nonsense")
         assert code == 2

@@ -5,6 +5,7 @@ import pytest
 
 from padiclie import PadicContext, find_nonresidue, reduce, unit_inverse, valuation
 from padiclie.errors import ContextMismatch, DenominatorDivisibleByP, NotAUnit
+from padiclie.padic import is_prime
 
 
 def test_reduce_examples():
@@ -34,6 +35,16 @@ def test_find_nonresidue():
     assert find_nonresidue(5) == 2
     assert find_nonresidue(7) == 3
     assert find_nonresidue(3) == 2
+
+
+def test_find_nonresidue_matches_squares_set():
+    # oracle: the least r >= 2 outside the set of nonzero squares mod p
+    for p in (q for q in range(3, 200) if is_prime(q)):
+        squares = {(x * x) % p for x in range(1, p)}
+        r = 2
+        while r % p in squares:
+            r += 1
+        assert find_nonresidue(p) == r
 
 
 def test_context_validation():
