@@ -39,7 +39,7 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .padic import PadicContext
+from .padic import PadicContext, is_prime
 from .propgroup import SemidirectGroup
 
 
@@ -366,6 +366,8 @@ class FiniteLieRing:
 
 def make_p3_pair(p: int):
     """The two nilpotent Lie rings of order p^3, as finite rings."""
+    if not is_prime(p):
+        raise BadParameter(f"p = {p} is not prime")
     if p < 5:
         raise BadParameter("the series needs class 2 < p")
     L1 = FiniteLieRing(

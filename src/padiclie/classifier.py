@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PrecisionExhausted, ScaleTooLarge
+from .errors import BadParameter, PrecisionExhausted, ScaleTooLarge
 from .linalg import PMatrix
 from .padic import PadicContext, is_prime, is_square_unit
 
@@ -193,6 +193,11 @@ def _primitive_root(p: int, q: int) -> int:
 
 
 def _conj_moves(p: int, k: int):
+    """Generators of unit-scaled conjugation mod p^k, for both enumeration routines."""
+    if p == 2 or not is_prime(p):
+        raise BadParameter(f"the orbit oracle needs an odd prime, got p = {p}")
+    if p ** (4 * k) > BRUTE_FORCE_CAP:
+        raise ScaleTooLarge(f"{p}^{4*k} matrices is beyond the enumeration cap")
     q = p**k
     g = _primitive_root(p, q)
     mats = [
@@ -239,10 +244,6 @@ def _orbit_from(seed, moves, g, q):
 
 def brute_force_orbit(p: int, k: int, A) -> frozenset:
     """Orbit of A mod p^k under unit-scaled conjugation, by closure enumeration."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("odd prime required")
-    if p ** (4 * k) > BRUTE_FORCE_CAP:
-        raise ScaleTooLarge(f"{p}^{4*k} matrices is beyond the enumeration cap")
     q = p**k
     if isinstance(A, PMatrix):
         seed = (A.entries[0][0] % q, A.entries[0][1] % q, A.entries[1][0] % q, A.entries[1][1] % q)
@@ -258,8 +259,6 @@ def orbit_representative(orbit: frozenset) -> tuple:
 
 def full_orbit_partition(p: int, k: int) -> dict:
     """Map every matrix mod p^k to a canonical orbit representative."""
-    if p ** (4 * k) > BRUTE_FORCE_CAP:
-        raise ScaleTooLarge(f"{p}^{4*k} matrices is beyond the enumeration cap")
     moves, g, q = _conj_moves(p, k)
     rep: dict[tuple, tuple] = {}
     for a in range(q):

@@ -11,18 +11,13 @@ import json
 import random
 import sys
 
-from . import catalog
+from . import catalog, claims
 from .bch import bch_commutator, bch_mul, bch_neg, bch_pow, hausdorff_table
-from .classifier import canonical_matrix, classify, full_orbit_partition
+from .classifier import canonical_matrix, classify
 from .errors import BadParameter, PadicLieError, PrecisionExhausted, UnknownFixture
 from .lattice import Lattice
-from .linalg import PMatrix, Span
+from .linalg import PMatrix
 from .padic import PadicContext
-from .propgroup import (
-    check_gamma_p_in_phi_p,
-    lower_p_series_group,
-    verify_group_potent_filtration,
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -39,10 +34,12 @@ def _common(parser, top=False):
     parser.add_argument("-o", "--output", default=default, help="write JSON output to this path")
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
 def _resolve(args, default_n):
-    p = args.p if args.p is not None else 5
-    n = args.N if args.N is not None else default_n
-    return PadicContext(p, n, args.rho)
+    return PadicContext(_given(args.p, 5), _given(args.N, default_n), args.rho)
 
 
 def _emit(args, payload: dict):
@@ -107,215 +104,31 @@ def cmd_classify(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-class Checks:
-    def __init__(self):
-        self.lines = []
-        self.failed = 0
-
-    def add(self, label: str, ok: bool):
-        self.lines.append(f"{'ok  ' if ok else 'FAIL'}  {label}")
-        if not ok:
-            self.failed += 1
-
-    def finish(self, name: str) -> int:
-        for line in self.lines:
-            print(line)
-        status = "pass" if not self.failed else f"fail ({self.failed} checks)"
-        print(f"{name}: {status}")
-        return EXIT_OK if not self.failed else EXIT_CHECK_FAILED
-
-
-def _verify_example_4_2(args) -> int:
-    ctx = _resolve(args, 4)
-    group, _ = catalog.make_example_dim_p(ctx)
-    c = Checks()
-    E = group.action - PMatrix.identity(ctx, group.fiber_dim)
-    c.add("(M-1)^(p-1) = p * identity on the fiber", E.pow(ctx.p - 1) == ctx.p * PMatrix.identity(ctx, group.fiber_dim))
-    rep = check_gamma_p_in_phi_p(group)
-    c.add("gamma_p(G) not contained in Phi(G)^p", not rep.holds)
-    pot = verify_group_potent_filtration(group, lower_p_series_group(group))
-    c.add("lower p-series fails potency at step 1", pot.first_failure() == 1)
-    return c.finish("example-4.2")
-
-
-def _verify_example_4_7(args) -> int:
-    ctx = _resolve(args, 4)
-    _, lat = catalog.make_example_dim_p(ctx)
-    c = Checks()
-    gammas = lat.lower_central()
-    fiber = [lat.basis_vector(i) for i in range(1, lat.dim)]
-    expected = Span(ctx, lat.dim, [tuple(ctx.p * x % ctx.modulus for x in v) for v in fiber])
-    c.add(
-        "gamma_p(L) = p * fiber",
-        len(gammas) > ctx.p - 1 and gammas[ctx.p - 1] == expected,
-    )
-    c.add("saturable sufficient condition fails", not lat.saturable_sufficient())
-    pot = lat.verify_potent_filtration(lat.lower_p_series())
-    c.add("lower p-series fails potency at step 1", pot.first_failure() == 1)
-    return c.finish("example-4.7")
-
-
-def _verify_p3_pair(args) -> int:
-    p = args.p if args.p is not None else 5
-    L1, L2 = catalog.make_p3_pair(p)
-    c = Checks()
-    x, y = L1.basis_vector(0), L1.basis_vector(1)
-    witness = None
-    for xs in (x, L1.neg(x)):
-        for ys in (y, L1.neg(y)):
-            if (
-                L1.element_order(xs) == p
-                and L1.element_order(ys) == p * p
-                and L1.comm(xs, ys) == L1.scale(p, ys)
-            ):
-                witness = (xs, ys)
-    c.add("first group satisfies x^p = y^(p^2) = 1 and [x,y] = y^p", witness is not None)
-    z = L2.comm(L2.basis_vector(0), L2.basis_vector(1))
-    expo = all(L2.element_order(u) in (1, p) for u in L2.elements())
-    central = all(L2.comm(z, L2.basis_vector(i)) == L2.zero() for i in range(3))
-    c.add("second group has exponent p with central commutator", expo and central)
-    c.add("order multisets differ", L1.order_multiset() != L2.order_multiset())
-    return c.finish("p3-pair")
-
-
-def _verify_thm73_grid(args) -> int:
-    ctx = _resolve(args, 10)
-    if ctx.p < 5:
-        # the grid's dimension 3 must be below p, and the classification assumes p > 3
-        raise BadParameter(f"thm73-grid needs p >= 5, got p = {ctx.p}")
-    grid = catalog.thm73_grid(ctx, (0, 1), (0, 1), (0, 1, ctx.rho, ctx.p))
-    entries = [(name, catalog.make_thm73(ctx, fam, params)) for name, fam, params in grid]
-    c = Checks()
-    c.add(
-        "all grid lattices pass the saturability condition",
-        all(lat.saturable_sufficient() for _, (lat, _) in entries),
-    )
-    c.add(
-        "all grid groups satisfy gamma_p <= Phi^p",
-        all(check_gamma_p_in_phi_p(grp).holds for _, (_, grp) in entries),
-    )
-    collisions = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if catalog.iso_test_3dim(entries[i][1][0], entries[j][1][0]).isomorphic:
-                collisions.append((entries[i][0], entries[j][0]))
-    c.add("pairwise isomorphism tests all distinct", not collisions)
-    return c.finish("thm73-grid")
-
-
-def _verify_levi(args) -> int:
-    k = 2
-    p = args.p if args.p is not None else 5
-    n = args.N if args.N is not None else 2 * k + 3
-    ctx = PadicContext(p, n, args.rho)
-    lat = catalog.make_levi_example(ctx, k)
-    rep = catalog.check_levi_example(lat, k)
-    c = Checks()
-    c.add("[L,L] contained in pL", rep.powerful)
-    c.add("radical is the (a, b) plane", rep.radical_ok)
-    c.add(
-        f"no lift kills the complement defect ({rep.lifts_checked} offsets)",
-        rep.defect_always_outside,
-    )
-    return c.finish("levi")
-
-
-def _verify_two_dim(args) -> int:
-    ctx = _resolve(args, 8)
-    rng = random.Random(args.seed if args.seed is not None else 0)
-    c = Checks()
-    for s in (1, 2, 3):
-        lat, grp = catalog.make_2dim(ctx, s)
-        ok = lat.two_dim_invariant() == s
-        for _ in range(10):
-            while True:
-                P = PMatrix(ctx, [[rng.randrange(ctx.modulus) for _ in range(2)] for _ in range(2)])
-                if P.det() % ctx.p != 0:
-                    break
-            ok = ok and lat.change_basis(P).two_dim_invariant() == s
-        x, y = grp.standard_generators()
-        rel = grp.comm(y, x) == grp.pow(y, ctx.p**s)
-        c.add(f"s = {s}: invariant stable and group relation [y,x] = y^(p^s) holds", ok and rel)
-    return c.finish("two-dim")
-
-
-def _verify_insoluble(args) -> int:
-    ctx = _resolve(args, 6)
-    c = Checks()
-    for which in ("sl2tri", "sl1delta"):
-        lat = catalog.make_insoluble(ctx, which)
-        c.add(f"{which}: structure constants validate", True)  # construction would raise
-        c.add(f"{which}: insoluble at precision", not lat.is_soluble())
-        c.add(f"{which}: saturability condition holds", lat.saturable_sufficient())
-    return c.finish("insoluble")
-
-
-def _verify_classifier_oracle(args) -> int:
-    p = args.p if args.p is not None else 3
-    k = args.N if args.N is not None else 2
-    ctx = PadicContext(p, k)
-    rep = full_orbit_partition(p, k)
-    orbits = set(rep.values())
-    desc_by_orbit = {}
-    canonical = {}  # descriptor key -> its canonical matrix as an entry tuple
-    agree = True
-    constant = True
-    for m, r in rep.items():
-        A = PMatrix._reduced(ctx, [[m[0], m[1]], [m[2], m[3]]])  # entries are residues mod p^k
-        d = classify(A, strict=False)
-        key = d.key()
-        cmt = canonical.get(key)
-        if cmt is None:
-            cm = canonical_matrix(d, ctx)
-            cmt = canonical[key] = tuple(e for row in cm.entries for e in row)
-        if rep[cmt] != r:
-            agree = False
-        if r in desc_by_orbit and desc_by_orbit[r] != key:
-            constant = False
-        desc_by_orbit[r] = key
-    injective = len(set(desc_by_orbit.values())) == len(orbits)
-    c = Checks()
-    c.add(f"canonical representative lies in the orbit (all {len(rep)} matrices)", agree)
-    c.add("descriptor constant on each orbit", constant)
-    c.add(f"distinct descriptors occupy distinct orbits ({len(orbits)} orbits)", injective)
-    return c.finish("classifier-oracle")
-
-
-def _verify_p2_groups(args) -> int:
-    ctx = PadicContext(2, args.N if args.N is not None else 8)
-    c = Checks()
-    for s in (2, 3, 4):
-        gp = catalog.make_p2_groups(ctx, "+", s)
-        c.add(
-            f"plus family s={s}: abelianization torsion 2^{s}",
-            catalog.abelianization_torsion_exp(gp) == s,
-        )
-        gm = catalog.make_p2_groups(ctx, "-", s)
-        c.add(
-            f"minus family s={s}: abelianization torsion 2^1",
-            catalog.abelianization_torsion_exp(gm) == 1,
-        )
-    ginf = catalog.make_p2_groups(ctx, "+", None)
-    c.add("limit member is abelian", ginf.action == PMatrix.identity(ctx, 1))
-    return c.finish("p2-groups")
+def _verify_thm73_grid(args) -> list:
+    members = claims.thm73_members(_resolve(args, 10), (0, 1), (0, 1))
+    return claims.thm73_saturable(members) + claims.thm73_irredundant(members)
 
 
 # fixture -> (checks, least --N at which they mean something); below it a check
 # would read a vanished invariant as a failure, so the run exits 2 instead
 FIXTURES = {
     # at N = 1, p = 0: (M - 1)^(p-1) = p * identity and Phi(G)^p both vanish
-    "example-4.2": (_verify_example_4_2, 2),
-    "example-4.7": (_verify_example_4_7, 2),  # likewise gamma_p(L) = p * fiber = 0
-    "p3-pair": (_verify_p3_pair, 1),  # finite rings of order p^3; --N is not used
+    "example-4.2": (lambda args: claims.example_4_2(_resolve(args, 4)), 2),
+    "example-4.7": (lambda args: claims.example_4_7(_resolve(args, 4)), 2),  # likewise gamma_p(L) = p * fiber = 0
+    # finite rings of order p^3; --N is not used
+    "p3-pair": (lambda args: claims.p3_pair(_given(args.p, 5)), 1),
     # below 7 the grid's invariants are not determined (p = 5, 7, 11, 13 tried),
     # and at N = 1 the members d = 0 and d = p coincide
     "thm73-grid": (_verify_thm73_grid, 7),
-    "levi": (_verify_levi, 6),  # 2k + 2 for k = 2, to separate the defect
-    "two-dim": (_verify_two_dim, 7),  # the invariant needs 2s < N, and s runs to 3
-    "insoluble": (_verify_insoluble, 2),  # at N = 1 the p-multiple brackets vanish
-    "classifier-oracle": (_verify_classifier_oracle, 1),  # --N is the exponent k of p^k
+    # the default N is 2k + 3 for k = 2; the floor 2k + 2 separates the defect
+    "levi": (lambda args: claims.levi(_resolve(args, 7), 2), 6),
+    # the invariant needs 2s < N, and s runs to 3
+    "two-dim": (lambda args: claims.two_dim(_resolve(args, 8), random.Random(_given(args.seed, 0)), 10), 7),
+    "insoluble": (lambda args: claims.insoluble(_resolve(args, 6)), 2),  # at N = 1 the p-multiple brackets vanish
+    # --N is the exponent k of p^k
+    "classifier-oracle": (lambda args: claims.classifier_oracle(_given(args.p, 3), _given(args.N, 2)), 1),
     # --N is the precision at p = 2; torsion 2^4 (s = 4) shows only at N >= 5
-    "p2-groups": (_verify_p2_groups, 5),
+    "p2-groups": (lambda args: claims.p2_groups(PadicContext(2, _given(args.N, 8))), 5),
 }
 
 
@@ -327,7 +140,12 @@ def cmd_verify(args) -> int:
     run, min_n = FIXTURES[fixture]
     if args.N is not None and args.N < min_n:
         raise BadParameter(f"{fixture} needs N >= {min_n}, got N = {args.N}")
-    return run(args)
+    checks = run(args)
+    for label, ok in checks:
+        print(f"{'ok  ' if ok else 'FAIL'}  {label}")
+    failed = sum(not ok for _, ok in checks)
+    print(f"{fixture}: {f'fail ({failed} checks)' if failed else 'pass'}")
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 # -- construct ---------------------------------------------------------------

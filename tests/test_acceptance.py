@@ -8,7 +8,6 @@ mechanism), and the check is kept as stated rather than weakened.
 
 import random
 import time
-from collections import defaultdict
 from fractions import Fraction
 
 from padiclie import PadicContext, PMatrix, Span, mat_log
@@ -22,25 +21,30 @@ from padiclie.bch import (
     poly_scale,
 )
 from padiclie.catalog import (
-    check_levi_example,
     iso_test_3dim,
     make_2dim,
     make_example_dim_p,
-    make_levi_example,
     make_p2_groups,
-    make_p3_pair,
     make_thm73,
     thm73_fiber_matrix,
     thm73_grid,
 )
-from padiclie.classifier import canonical_matrix, classify, descriptors_equal, full_orbit_partition
+from padiclie.claims import (
+    classifier_oracle,
+    example_4_2,
+    example_4_7,
+    levi,
+    p3_pair,
+    random_invertible,
+    thm73_irredundant,
+    thm73_members,
+    thm73_saturable,
+    two_dim,
+)
+from padiclie.classifier import classify, descriptors_equal
 from padiclie.errors import PrecisionExhausted
 from padiclie.lattice import Lattice
-from padiclie.propgroup import (
-    check_gamma_p_in_phi_p,
-    lower_p_series_group,
-    verify_group_potent_filtration,
-)
+from padiclie.propgroup import lower_p_series_group, verify_group_potent_filtration
 
 
 def report(num, label, ok, started=None):
@@ -49,11 +53,9 @@ def report(num, label, ok, started=None):
     return ok
 
 
-def random_invertible(ctx, n, rng):
-    while True:
-        P = PMatrix(ctx, [[rng.randrange(ctx.modulus) for _ in range(n)] for _ in range(n)])
-        if P.det() % ctx.p != 0:
-            return P
+def failed(checks):
+    """The labels of the claim checks that did not hold."""
+    return [label for label, ok in checks if not ok]
 
 
 def test_criterion_01_bch_table():
@@ -76,23 +78,9 @@ def test_criterion_01_bch_table():
 
 def test_criterion_02_order_p3_reproduction():
     t0 = time.time()
-    ok = True
-    for p in (5, 7):
-        L1, L2 = make_p3_pair(p)
-        x, y = L1.basis_vector(0), L1.basis_vector(1)
-        ok = ok and any(
-            L1.element_order(xs) == p
-            and L1.element_order(ys) == p * p
-            and L1.comm(xs, ys) == L1.scale(p, ys)
-            for xs in (x, L1.neg(x))
-            for ys in (y, L1.neg(y))
-        )
-        z = L2.comm(L2.basis_vector(0), L2.basis_vector(1))
-        ok = ok and all(L2.element_order(u) in (1, p) for u in L2.elements())
-        ok = ok and all(L2.comm(z, L2.basis_vector(i)) == L2.zero() for i in range(3))
-        ok = ok and L1.order_multiset() != L2.order_multiset()
-    ok = ok and (time.time() - t0) < 30
-    assert report(2, "order-p^3 pair: presentations hold, order multisets differ (p = 5, 7)", ok, t0)
+    fails = failed([check for p in (5, 7) for check in p3_pair(p)])
+    ok = not fails and (time.time() - t0) < 30
+    assert report(2, "order-p^3 pair: presentations hold, order multisets differ (p = 5, 7)", ok, t0), fails
 
 
 def test_criterion_03_group_axiom_suite():
@@ -138,24 +126,10 @@ def test_criterion_03_group_axiom_suite():
 
 def test_criterion_04_classifier_oracle():
     t0 = time.time()
-    p, k = 3, 2
-    ctx = PadicContext(p, k)
-    rep = full_orbit_partition(p, k)
-    q = p**k
-    desc_by_orbit = defaultdict(set)
-    agree = True
-    for m, r in rep.items():
-        d = classify(PMatrix(ctx, [[m[0], m[1]], [m[2], m[3]]]), strict=False)
-        cm = canonical_matrix(d, ctx)
-        cmt = (cm.entries[0][0] % q, cm.entries[0][1] % q, cm.entries[1][0] % q, cm.entries[1][1] % q)
-        if rep[cmt] != r:
-            agree = False
-        desc_by_orbit[r].add(d.key())
-    constant = all(len(v) == 1 for v in desc_by_orbit.values())
-    distinct = len({next(iter(v)) for v in desc_by_orbit.values()}) == len(desc_by_orbit)
-    elapsed = time.time() - t0
-    ok = agree and constant and distinct and len(rep) == 6561 and elapsed < 300
-    assert report(4, f"exhaustive mod-9 oracle: {len(desc_by_orbit)} orbits match descriptors", ok, t0)
+    checks = classifier_oracle(3, 2)
+    # the first label carries the number of matrices enumerated
+    ok = not failed(checks) and checks[0][0].endswith("(all 6561 matrices)") and time.time() - t0 < 300
+    assert report(4, "exhaustive mod-9 oracle: orbits match descriptors", ok, t0), checks
 
 
 def test_criterion_05_classifier_invariance():
@@ -182,46 +156,31 @@ def test_criterion_05_classifier_invariance():
 def test_criterion_06_dimension_p_counterexamples():
     t0 = time.time()
     ctx = PadicContext(5, 4)
-    group, lattice = make_example_dim_p(ctx)
-    gamma_fail = not check_gamma_p_in_phi_p(group).holds
-    potency = verify_group_potent_filtration(group, lower_p_series_group(group))
-    potency_fail = (not potency.passed) and potency.first_failure() == 1
-    lattice_fail = not lattice.saturable_sufficient()
-    elapsed = time.time() - t0
-    ok = gamma_fail and potency_fail and lattice_fail and elapsed < 10
-    assert report(6, "dimension-p pair: both sufficiency checks fail, potency breaks at step 1", ok, t0)
+    fails = failed(example_4_2(ctx) + example_4_7(ctx))
+    ok = not fails and time.time() - t0 < 10
+    assert report(6, "dimension-p pair: both sufficiency checks fail, potency breaks at step 1", ok, t0), fails
 
 
 def test_criterion_07_small_dimension_saturability():
     t0 = time.time()
-    ctx = PadicContext(5, 8)
-    failures = []
-    for name, fam, params in thm73_grid(ctx):
-        lat, grp = make_thm73(ctx, fam, params)
-        if not lat.saturable_sufficient():
-            failures.append((name, "lattice condition"))
+    members = thm73_members(PadicContext(5, 8))
+    failures = failed(thm73_saturable(members))
+    for name, lat, grp in members:
         if not lat.verify_potent_filtration(lat.lower_p_series()).passed:
             failures.append((name, "lattice potency"))
-        if not check_gamma_p_in_phi_p(grp).holds:
-            failures.append((name, "group condition"))
         if not verify_group_potent_filtration(grp, lower_p_series_group(grp)).passed:
             failures.append((name, "group potency"))
-    assert report(7, f"saturability across the parameter grid ({len(thm73_grid(ctx))} members)", not failures, t0), failures
+    assert report(7, f"saturability across the parameter grid ({len(members)} members)", not failures, t0), failures
 
 
 def test_criterion_08_classification_irredundancy():
     t0 = time.time()
     ctx = PadicContext(5, 12)
-    grid = thm73_grid(ctx)
-    lattices = [(name, make_thm73(ctx, fam, params)[0]) for name, fam, params in grid]
-    collisions = []
-    for i in range(len(lattices)):
-        for j in range(i + 1, len(lattices)):
-            if iso_test_3dim(lattices[i][1], lattices[j][1]).isomorphic:
-                collisions.append((lattices[i][0], lattices[j][0]))
+    members = thm73_members(ctx)
+    collisions = failed(thm73_irredundant(members))
     rng = random.Random(102)
     change_failures = []
-    for name, lat in lattices:
+    for name, lat, _ in members:
         for _ in range(20):
             P = random_invertible(ctx, 3, rng)
             if not iso_test_3dim(lat, lat.change_basis(P)).isomorphic:
@@ -229,7 +188,7 @@ def test_criterion_08_classification_irredundancy():
     ok = not collisions and not change_failures
     assert report(
         8,
-        f"irredundancy: {len(lattices)} members pairwise distinct, stable under 20 basis changes each",
+        f"irredundancy: {len(members)} members pairwise distinct, stable under 20 basis changes each",
         ok,
         t0,
     ), (collisions, change_failures)
@@ -304,26 +263,14 @@ def test_criterion_10_isolator_laws():
 
 def test_criterion_11_levi_fixture():
     t0 = time.time()
-    ctx = PadicContext(5, 7)
-    lat = make_levi_example(ctx, 2)
-    rep = check_levi_example(lat, 2)
-    elapsed = time.time() - t0
-    ok = rep.passed and rep.lifts_checked == 5**8 and elapsed < 60
-    assert report(11, "powerful 5-dim fixture: radical has no complement over the full lift grid", ok, t0)
+    checks = levi(PadicContext(5, 7), 2)
+    # the last label carries the number of lifts scanned
+    ok = not failed(checks) and checks[-1][0].endswith(f"({5**8} offsets)") and time.time() - t0 < 60
+    assert report(11, "powerful 5-dim fixture: radical has no complement over the full lift grid", ok, t0), checks
 
 
 def test_criterion_12_two_dim_invariant():
     t0 = time.time()
     rng = random.Random(104)
-    failures = 0
-    for p in (5, 7):
-        ctx = PadicContext(p, 8)
-        for s in (1, 2, 3):
-            lat, _ = make_2dim(ctx, s)
-            if lat.two_dim_invariant() != s:
-                failures += 1
-            for _ in range(50):
-                P = random_invertible(ctx, 2, rng)
-                if lat.change_basis(P).two_dim_invariant() != s:
-                    failures += 1
-    assert report(12, "rank-2 invariant recovers s under 50 random basis changes (p = 5, 7)", failures == 0, t0)
+    fails = failed([check for p in (5, 7) for check in two_dim(PadicContext(p, 8), rng, 50)])
+    assert report(12, "rank-2 invariant recovers s under 50 random basis changes (p = 5, 7)", not fails, t0), fails

@@ -280,6 +280,13 @@ class TestP3Pair:
             assert all(L2.comm(z, L2.basis_vector(i)) == L2.zero() for i in range(3))
             assert L1.order_multiset() != L2.order_multiset()
 
+    def test_rejects_composite_before_small_p(self):
+        for p in (4, 9, 15):
+            with pytest.raises(BadParameter, match=f"p = {p} is not prime"):
+                make_p3_pair(p)
+        with pytest.raises(BadParameter, match="class 2 < p"):
+            make_p3_pair(3)
+
     def test_group_axioms_sampled(self):
         L1, _ = make_p3_pair(5)
         rng = random.Random(40)

@@ -13,14 +13,8 @@ from padiclie.classifier import (
     orbit_representative,
     similar,
 )
-from padiclie.errors import PrecisionExhausted, ScaleTooLarge
-
-
-def random_invertible(ctx, rng):
-    while True:
-        P = PMatrix(ctx, [[rng.randrange(ctx.modulus) for _ in range(2)] for _ in range(2)])
-        if P.det() % ctx.p != 0:
-            return P
+from padiclie.claims import random_invertible
+from padiclie.errors import BadParameter, PrecisionExhausted, ScaleTooLarge
 
 
 class TestClassify:
@@ -87,7 +81,7 @@ class TestSimilar:
                 assert similar(A, A)
             except PrecisionExhausted:
                 continue
-            B = random_invertible(ctx, rng)
+            B = random_invertible(ctx, 2, rng)
             u = rng.choice([x for x in range(1, ctx.modulus) if x % 5])
             A2 = u * (B.inverse() @ A @ B)
             assert similar(A, A2)
@@ -109,7 +103,7 @@ class TestSimilar:
             done += 1
             for _ in range(20):
                 u = rng.choice([x for x in range(1, ctx.modulus) if x % 5])
-                B = random_invertible(ctx, rng)
+                B = random_invertible(ctx, 2, rng)
                 assert descriptors_equal(d0, classify(u * (B.inverse() @ A @ B)), 5)
 
     def test_valuation_invariants_on_conjugates(self):
@@ -120,7 +114,7 @@ class TestSimilar:
         assert (d0.variant, d0.s, d0.r) == ("scalarplus", 1, 1)
         for _ in range(25):
             u = rng.choice([x for x in range(1, ctx.modulus) if x % 5])
-            B = random_invertible(ctx, rng)
+            B = random_invertible(ctx, 2, rng)
             d = classify(u * (B.inverse() @ A @ B))
             assert (d.s, d.r) == (1, 1)
 
@@ -159,6 +153,14 @@ class TestBruteForce:
     def test_scale_cap(self):
         with pytest.raises(ScaleTooLarge):
             brute_force_orbit(7, 3, (1, 0, 0, 1))
+
+    def test_odd_prime_required(self):
+        # both enumeration routines share the guard; p = 2 has no primitive root mod 2^k
+        for p in (2, 9):
+            with pytest.raises(BadParameter, match="odd prime"):
+                brute_force_orbit(p, 1, (1, 0, 0, 1))
+            with pytest.raises(BadParameter, match="odd prime"):
+                full_orbit_partition(p, 1)
 
     def test_small_oracle_partition(self):
         # mod 9 enumeration: descriptor classes coincide with orbits

@@ -55,17 +55,23 @@ class TestClassify:
 class TestVerify:
     @pytest.mark.parametrize(
         "fixture",
-        ["example-4.2", "example-4.7", "p3-pair", "two-dim", "insoluble", "p2-groups", "levi"],
+        ["example-4.2", "example-4.7", "p3-pair", "thm73-grid", "two-dim", "insoluble", "p2-groups", "levi"],
     )
     def test_fixture_passes(self, capsys, fixture):
-        code, out, _ = run(capsys, "verify", fixture)
-        assert code == 0
-        assert out.strip().endswith("pass")
+        # levi takes over a second at p = 7, so it runs at the default p only
+        for flags in [()] if fixture == "levi" else [(), ("--p", "7")]:
+            code, out, _ = run(capsys, "verify", fixture, *flags)
+            assert code == 0, flags
+            assert out.strip().endswith("pass")
 
     def test_classifier_oracle(self, capsys):
         code, out, _ = run(capsys, "verify", "classifier-oracle")
         assert code == 0
         assert "31 orbits" in out
+        code, out, err = run(capsys, "verify", "classifier-oracle", "--p", "7")
+        assert code == 2
+        assert "beyond the enumeration cap" in err
+        assert "FAIL" not in out
 
     def test_thm73_grid_rejects_small_primes(self, capsys):
         code, out, err = run(capsys, "verify", "thm73-grid", "--p", "3")
@@ -88,10 +94,11 @@ class TestVerify:
     def test_small_parameter_sweep(self, capsys, fixture):
         min_n = FIXTURES[fixture][1]
         problems = []
-        for p in (3, 5, 7):
+        for p in (2, 3, 5, 7, 9):
             for n in (1, 2, 3):
                 code, _, err = run(capsys, "verify", fixture, "--p", str(p), "--N", str(n))
-                if code not in (0, 1, 2) or "Traceback" in err or (n < min_n and code != 2):
+                # no fixture may report a failed check: out-of-range inputs exit 2
+                if code not in (0, 2) or "Traceback" in err or (n < min_n and code != 2):
                     problems.append((p, n, code, err[-200:]))
         assert not problems
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from padiclie import Lattice, PadicContext, PMatrix, Span, lattice
+from padiclie import Lattice, PadicContext, Span, lattice
 from padiclie.bch import free_nilpotent_lattice
 from padiclie.catalog import (
     make_2dim,
@@ -12,6 +12,7 @@ from padiclie.catalog import (
     make_thm73,
     thm73_grid,
 )
+from padiclie.claims import random_invertible
 from padiclie.errors import (
     AntisymmetryViolated,
     ClosureBudgetExceeded,
@@ -28,13 +29,6 @@ def heisenberg(ctx):
 
 def abelian(ctx, d):
     return Lattice.from_brackets(ctx, d, [])
-
-
-def random_invertible(ctx, n, rng):
-    while True:
-        P = PMatrix(ctx, [[rng.randrange(ctx.modulus) for _ in range(n)] for _ in range(n)])
-        if P.det() % ctx.p != 0:
-            return P
 
 
 class TestValidation:

@@ -6,6 +6,7 @@ from itertools import islice, product
 import pytest
 
 from padiclie import PadicContext, PMatrix, Span, linalg, mat_exp, mat_log, mat_pow_padic
+from padiclie.claims import random_invertible
 from padiclie.errors import (
     ClosureBudgetExceeded,
     ConvergenceViolated,
@@ -31,13 +32,6 @@ def ctx5(n=4):
 
 def random_matrix(ctx, n, rng):
     return PMatrix(ctx, [[rng.randrange(ctx.modulus) for _ in range(n)] for _ in range(n)])
-
-
-def random_invertible(ctx, n, rng):
-    while True:
-        P = random_matrix(ctx, n, rng)
-        if P.det() % ctx.p != 0:
-            return P
 
 
 def random_square_zero(ctx, rng):
