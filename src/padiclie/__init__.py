@@ -1,6 +1,6 @@
 """Exact finite-precision computations with p-adic Lie lattices and pro-p groups."""
 
-from .padic import PadicContext, PadicScalar, find_nonresidue, reduce, unit_inverse, valuation
+from .padic import PadicContext, find_nonresidue
 from .linalg import PMatrix, Span, mat_exp, mat_log, mat_pow_padic
 from .lattice import Filtration, Lattice
 from .bch import bch_commutator, bch_mul, bch_neg, bch_pow, hausdorff_table
@@ -9,11 +9,7 @@ from .classifier import SimilarityDescriptor, classify, similar
 
 __all__ = [
     "PadicContext",
-    "PadicScalar",
     "find_nonresidue",
-    "reduce",
-    "unit_inverse",
-    "valuation",
     "PMatrix",
     "Span",
     "mat_exp",

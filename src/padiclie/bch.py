@@ -22,7 +22,6 @@ from math import factorial
 from .errors import ClassTooLarge, CrossCheckMismatch
 from .lattice import Lattice
 from .linalg import PMatrix, mat_exp, mat_log, vec_scale
-from .padic import PadicScalar
 
 # ---------------------------------------------------------------------------
 # free associative algebra over Q, truncated by word length
@@ -59,34 +58,6 @@ def poly_scale(c, a: dict) -> dict:
     if not c:
         return {}
     return {w: c * v for w, v in a.items()}
-
-
-def exp_series(P: dict, W: int) -> dict:
-    """exp of a polynomial with zero constant term, truncated at weight W."""
-    out = {"": Fraction(1)}
-    term = {"": Fraction(1)}
-    for n in range(1, W + 1):
-        term = poly_scale(Fraction(1, n), poly_mul(term, P, W))
-        if not term:
-            break
-        out = poly_add(out, term)
-    return out
-
-
-def log_series(Q: dict, W: int) -> dict:
-    """log(1 + E) for Q = 1 + E with zero-constant-term E, truncated at W."""
-    E = dict(Q)
-    E.pop("", None)
-    if Q.get("", 0) != 1:
-        raise ValueError("log expects constant term 1")
-    out: dict[str, Fraction] = {}
-    term = {"": Fraction(1)}
-    for n in range(1, W + 1):
-        term = poly_mul(term, E, W)
-        if not term:
-            break
-        out = poly_add(out, poly_scale(Fraction((-1) ** (n - 1), n), term))
-    return out
 
 
 def poly_bracket(a: dict, b: dict, W: int) -> dict:
@@ -189,12 +160,6 @@ class BCHTable:
                 return c
         return Fraction(0)
 
-    def as_assoc(self) -> dict:
-        out: dict[str, Fraction] = {}
-        for c, w in self.terms:
-            out = poly_add(out, poly_scale(c, dict(word_to_assoc(w))))
-        return out
-
     def to_json(self) -> dict:
         return {
             "weight": self.weight,
@@ -240,13 +205,6 @@ def hausdorff_table(W: int) -> BCHTable:
     reduced = reduce_to_basis(acc)
     terms = tuple(sorted(((c, w) for w, c in reduced.items()), key=lambda t: (len(t[1]), t[1])))
     return BCHTable(W, terms)
-
-
-def hausdorff_oracle(W: int) -> dict:
-    """log(exp X exp Y) in the free associative algebra, truncated at weight W."""
-    X = {"X": Fraction(1)}
-    Y = {"Y": Fraction(1)}
-    return log_series(poly_mul(exp_series(X, W), exp_series(Y, W), W), W)
 
 
 def free_nilpotent_lattice(ctx, nil_class: int) -> Lattice:
@@ -342,10 +300,9 @@ def bch_neg(L: Lattice, u):
     return tuple(-a % mod for a in u)
 
 
-def bch_pow(L: Lattice, u, lam):
+def bch_pow(L: Lattice, u, lam: int):
     """lam-th power of u, i.e. lam * u."""
-    n = lam.value if isinstance(lam, PadicScalar) else int(lam)
-    return vec_scale(n, u, L.ctx.modulus)
+    return vec_scale(lam, u, L.ctx.modulus)
 
 
 def bch_commutator(L: Lattice, u, v):

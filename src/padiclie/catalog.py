@@ -36,8 +36,6 @@ from .linalg import (
     mat_exp,
     solve_over_rows,
     structural_profile,
-    vec_add,
-    vec_scale,
 )
 from .padic import PadicContext, is_prime
 from .propgroup import SemidirectGroup
@@ -183,64 +181,6 @@ def make_levi_example(ctx: PadicContext, k: int) -> Lattice:
         (2, 4, (0, 0, 0, 0, pk)),  # [h,b] = p^k b
     ]
     return Lattice.from_brackets(ctx, 5, brackets, ("x", "y", "h", "a", "b"))
-
-
-@dataclass
-class LeviReport:
-    powerful: bool
-    radical_ok: bool
-    lifts_checked: int
-    defect_always_outside: bool
-
-    @property
-    def passed(self):
-        return self.powerful and self.radical_ok and self.defect_always_outside
-
-
-def check_levi_example(L: Lattice, k: int) -> LeviReport:
-    """The three documented properties of the no-complement fixture.
-
-    The defect scan ranges over all lifts h~ = h + alpha a + beta b and
-    x~ = x + gamma a + delta b with offsets mod p^k, checking that
-    [h~, x~] - 2 p^k x~ lies in R but never in p^k R.
-    """
-    ctx = L.ctx
-    p, mod = ctx.p, ctx.modulus
-    pk = p**k
-    full = L.full_span()
-    powerful = full.scale(p).contains(L.bracket_span(full, full))
-    radical = L.soluble_radical()
-    expected = Span(ctx, 5, [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
-    radical_ok = radical == expected
-
-    x = L.basis_vector(0)
-    h = L.basis_vector(2)
-    a = L.basis_vector(3)
-    b = L.basis_vector(4)
-    base = vec_add(L.bracket(h, x), vec_scale(-2 * pk, x, mod), mod)
-    va = L.bracket(a, x)
-    vb = L.bracket(b, x)
-    vg = vec_add(L.bracket(h, a), vec_scale(-2 * pk, a, mod), mod)
-    vd = vec_add(L.bracket(h, b), vec_scale(-2 * pk, b, mod), mod)
-    vectors = [base, va, vb, vg, vd]
-    if any(any(v[i] for i in range(3)) for v in vectors):
-        return LeviReport(powerful, radical_ok, 0, False)
-    always_outside = True
-    count = 0
-    rng = range(pk)
-    for alpha in rng:
-        pa = (base[3] + alpha * va[3]) % mod, (base[4] + alpha * va[4]) % mod
-        for beta in rng:
-            pb = (pa[0] + beta * vb[3]) % mod, (pa[1] + beta * vb[4]) % mod
-            for gamma in rng:
-                pg = (pb[0] + gamma * vg[3]) % mod, (pb[1] + gamma * vg[4]) % mod
-                for delta in rng:
-                    ca = (pg[0] + delta * vd[3]) % mod
-                    cb = (pg[1] + delta * vd[4]) % mod
-                    count += 1
-                    if ca % pk == 0 and cb % pk == 0:
-                        always_outside = False
-    return LeviReport(powerful, radical_ok, count, always_outside)
 
 
 def make_p2_groups(ctx: PadicContext, sign: str, s) -> SemidirectGroup:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import catalog
 from .classifier import canonical_matrix, classify, full_orbit_partition
 from .errors import BadParameter
-from .linalg import PMatrix, Span
+from .linalg import PMatrix, Span, vec_add, vec_scale
 from .padic import PadicContext
 from .propgroup import (
     check_gamma_p_in_phi_p,
@@ -98,12 +98,41 @@ def thm73_irredundant(members) -> list:
 
 
 def levi(ctx: PadicContext, k: int) -> list:
-    """The powerful lattice whose soluble radical has no complement."""
-    rep = catalog.check_levi_example(catalog.make_levi_example(ctx, k), k)
+    """The powerful lattice whose soluble radical has no complement.
+
+    The defect scan ranges over all lifts h~ = h + alpha a + beta b and
+    x~ = x + gamma a + delta b with offsets mod p^k, checking that
+    [h~, x~] - 2 p^k x~ lies in R but never in p^k R.
+    """
+    L = catalog.make_levi_example(ctx, k)
+    p, mod = ctx.p, ctx.modulus
+    pk = p**k
+    full = L.full_span()
+    x, h, a, b = (L.basis_vector(i) for i in (0, 2, 3, 4))
+    base = vec_add(L.bracket(h, x), vec_scale(-2 * pk, x, mod), mod)
+    va = L.bracket(a, x)
+    vb = L.bracket(b, x)
+    vg = vec_add(L.bracket(h, a), vec_scale(-2 * pk, a, mod), mod)
+    vd = vec_add(L.bracket(h, b), vec_scale(-2 * pk, b, mod), mod)
+    always_outside = not any(any(v[:3]) for v in (base, va, vb, vg, vd))
+    count = 0
+    rng = range(pk if always_outside else 0)  # no scan once a defect leaves R
+    for alpha in rng:
+        pa = (base[3] + alpha * va[3]) % mod, (base[4] + alpha * va[4]) % mod
+        for beta in rng:
+            pb = (pa[0] + beta * vb[3]) % mod, (pa[1] + beta * vb[4]) % mod
+            for gamma in rng:
+                pg = (pb[0] + gamma * vg[3]) % mod, (pb[1] + gamma * vg[4]) % mod
+                for delta in rng:
+                    ca = (pg[0] + delta * vd[3]) % mod
+                    cb = (pg[1] + delta * vd[4]) % mod
+                    count += 1
+                    if ca % pk == 0 and cb % pk == 0:
+                        always_outside = False
     return [
-        ("[L,L] contained in pL", rep.powerful),
-        ("radical is the (a, b) plane", rep.radical_ok),
-        (f"no lift kills the complement defect ({rep.lifts_checked} offsets)", rep.defect_always_outside),
+        ("[L,L] contained in pL", full.scale(p).contains(L.bracket_span(full, full))),
+        ("radical is the (a, b) plane", L.soluble_radical() == Span(ctx, 5, [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])),
+        (f"no lift kills the complement defect ({count} offsets)", always_outside),
     ]
 
 

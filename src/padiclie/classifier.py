@@ -242,21 +242,6 @@ def _orbit_from(seed, moves, g, q):
     return seen
 
 
-def brute_force_orbit(p: int, k: int, A) -> frozenset:
-    """Orbit of A mod p^k under unit-scaled conjugation, by closure enumeration."""
-    q = p**k
-    if isinstance(A, PMatrix):
-        seed = (A.entries[0][0] % q, A.entries[0][1] % q, A.entries[1][0] % q, A.entries[1][1] % q)
-    else:
-        seed = tuple(x % q for x in A)
-    moves, g, q = _conj_moves(p, k)
-    return frozenset(_orbit_from(seed, moves, g, q))
-
-
-def orbit_representative(orbit: frozenset) -> tuple:
-    return min(orbit)
-
-
 def full_orbit_partition(p: int, k: int) -> dict:
     """Map every matrix mod p^k to a canonical orbit representative."""
     moves, g, q = _conj_moves(p, k)

@@ -17,7 +17,7 @@ from .classifier import canonical_matrix, classify
 from .errors import BadParameter, PadicLieError, PrecisionExhausted, UnknownFixture
 from .lattice import Lattice
 from .linalg import PMatrix
-from .padic import PadicContext
+from .padic import PadicContext, is_prime
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -109,6 +109,13 @@ def _verify_thm73_grid(args) -> list:
     return claims.thm73_saturable(members) + claims.thm73_irredundant(members)
 
 
+def _verify_p2_groups(args) -> list:
+    if args.p is not None and not is_prime(args.p):
+        # the fixture runs at p = 2 whatever the prime, but a mistyped one is still an input error
+        raise BadParameter(f"p = {args.p} is not prime")
+    return claims.p2_groups(PadicContext(2, _given(args.N, 8)))
+
+
 # fixture -> (checks, least --N at which they mean something); below it a check
 # would read a vanished invariant as a failure, so the run exits 2 instead
 FIXTURES = {
@@ -128,7 +135,7 @@ FIXTURES = {
     # --N is the exponent k of p^k
     "classifier-oracle": (lambda args: claims.classifier_oracle(_given(args.p, 3), _given(args.N, 2)), 1),
     # --N is the precision at p = 2; torsion 2^4 (s = 4) shows only at N >= 5
-    "p2-groups": (lambda args: claims.p2_groups(PadicContext(2, _given(args.N, 8))), 5),
+    "p2-groups": (_verify_p2_groups, 5),
 }
 
 

@@ -10,7 +10,7 @@ class ContextMismatch(PadicLieError):
 
 
 class NotAUnit(PadicLieError):
-    """Inversion of a scalar with positive valuation."""
+    """Inversion of a residue with positive valuation."""
 
 
 class DenominatorDivisibleByP(PadicLieError):

@@ -144,9 +144,6 @@ class Lattice:
     def full_span(self) -> Span:
         return Span.full(self.ctx, self.dim)
 
-    def zero_span(self) -> Span:
-        return Span.zero(self.ctx, self.dim)
-
     def ad_matrix(self, v) -> PMatrix:
         """Matrix of u -> [u, v] acting on row vectors: row i is [b_i, v] = -[v, b_i]."""
         return PMatrix(self.ctx, [[-e for e in row] for row in self._brackets_with_basis(v)])
@@ -327,15 +324,6 @@ class Lattice:
             [Pinv.apply_row(self.bracket(u, v)) for v in P.entries] for u in P.entries
         ]
         return Lattice(self.ctx, new_constants, self.labels, validate=False)
-
-    def direct_sum(self, other: "Lattice") -> "Lattice":
-        if self.ctx != other.ctx:
-            raise ContextMismatch("direct sum over different contexts")
-        d1, d2 = self.dim, other.dim
-        brackets = [(i, j, c + (0,) * d2) for i, j, c in self._brackets()]
-        brackets += [(d1 + i, d1 + j, (0,) * d1 + c) for i, j, c in other._brackets()]
-        labels = tuple(self.labels) + tuple(f"{x}'" for x in other.labels)
-        return Lattice.from_brackets(self.ctx, d1 + d2, brackets, labels)
 
     # -- serialization -------------------------------------------------------
 

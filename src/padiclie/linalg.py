@@ -35,7 +35,7 @@ from .errors import (
     NotContained,
     NotProP,
 )
-from .padic import PadicContext, PadicScalar
+from .padic import PadicContext
 
 Vector = tuple[int, ...]
 
@@ -145,8 +145,7 @@ class PMatrix:
             [[sum(a * b for a, b in zip(row, col)) % mod for col in ot] for row in self.entries],
         )
 
-    def __mul__(self, scalar):
-        c = scalar.value if isinstance(scalar, PadicScalar) else scalar
+    def __mul__(self, c: int):
         mod = self.ctx.modulus
         return PMatrix._reduced(self.ctx, [[(c * a) % mod for a in r] for r in self.entries])
 
@@ -727,9 +726,7 @@ def unipotent_order_exp(M: PMatrix) -> int:
     raise NotProP(f"no p-power order within exponent bound {bound}")
 
 
-def mat_pow_padic(M: PMatrix, lam) -> PMatrix:
+def mat_pow_padic(M: PMatrix, lam: int) -> PMatrix:
     """M^lam for a p-adic exponent, via the p-power order at precision."""
-    k = unipotent_order_exp(M)
-    q = M.ctx.p**k
-    n = lam.value if isinstance(lam, PadicScalar) else int(lam)
-    return M.pow(n % q)
+    q = M.ctx.p ** unipotent_order_exp(M)
+    return M.pow(lam % q)

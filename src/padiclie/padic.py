@@ -2,9 +2,9 @@
 
 A context fixes an odd prime p (p = 2 is allowed only for the special
 constructors in the catalog), a precision exponent N and a distinguished
-unit non-residue rho.  Scalars are immutable residues in [0, p^N) that
-remember their context; arithmetic between scalars of different contexts
-is an error, never a silent coercion.
+unit non-residue rho.  Residues are plain ints in [0, p^N); the context's
+methods give their valuations, unit inverses and the images of p-integral
+rationals.
 
 Zero at precision has valuation N by convention, so every comparison made
 elsewhere in the package is a statement "at precision N".
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ContextMismatch, DenominatorDivisibleByP, NotAUnit
+from .errors import DenominatorDivisibleByP, NotAUnit
 
 
 def is_prime(n: int) -> bool:
@@ -88,7 +88,7 @@ class PadicContext:
         if self.p == 2:
             raise ValueError("operation requires an odd prime")
 
-    # -- raw integer helpers (used by the linear algebra kernels) ----------
+    # -- the residue API ---------------------------------------------------
 
     def val(self, x: int) -> int:
         """Valuation of the residue x, capped at the precision."""
@@ -130,11 +130,6 @@ class PadicContext:
         rho = None if self.p == 2 else self.rho
         return PadicContext(self.p, self.precision + extra, rho)
 
-    def scalar(self, value: int | Fraction) -> "PadicScalar":
-        if isinstance(value, Fraction):
-            return PadicScalar(self, self.reduce_fraction(value))
-        return PadicScalar(self, value)
-
     def to_json(self) -> dict:
         return {"p": self.p, "precision": self.precision}
 
@@ -142,91 +137,3 @@ class PadicContext:
     def from_json(cls, data: dict) -> "PadicContext":
         return cls(int(data["p"]), int(data["precision"]), data.get("rho"))
 
-
-class PadicScalar:
-    """An immutable residue in [0, p^N) carrying its context."""
-
-    __slots__ = ("ctx", "value")
-
-    def __init__(self, ctx: PadicContext, value: int):
-        self.ctx = ctx
-        self.value = value % ctx.modulus
-
-    def _coerce(self, other) -> "PadicScalar":
-        if isinstance(other, PadicScalar):
-            if other.ctx != self.ctx:
-                raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
-            return other
-        if isinstance(other, int):
-            return PadicScalar(self.ctx, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PadicScalar(self.ctx, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PadicScalar(self.ctx, self.value - other.value)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PadicScalar(self.ctx, other.value - self.value)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PadicScalar(self.ctx, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PadicScalar(self.ctx, -self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.ctx.modulus
-        return (
-            isinstance(other, PadicScalar)
-            and self.ctx == other.ctx
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.value))
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.ctx.p}^{self.ctx.precision})"
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def is_unit(self) -> bool:
-        return self.value % self.ctx.p != 0
-
-    def to_json(self) -> str:
-        return str(self.value)
-
-
-def valuation(x: PadicScalar) -> int:
-    """Largest e <= N with p^e | x; N for the zero residue."""
-    return x.ctx.val(x.value)
-
-
-def unit_inverse(x: PadicScalar) -> PadicScalar:
-    """Inverse of a unit scalar; NotAUnit otherwise."""
-    return PadicScalar(x.ctx, x.ctx.inv(x.value))
-
-
-def reduce(q: Fraction | int, ctx: PadicContext) -> PadicScalar:
-    """Reduce a p-integral rational into Z/p^N."""
-    return PadicScalar(ctx, ctx.reduce_fraction(q))

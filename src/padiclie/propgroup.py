@@ -136,7 +136,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .padic import PadicContext, PadicScalar
+from .padic import PadicContext
 
 TWIST_CACHE_SIZE = 256  # twists kept per group; a miss costs one binomial sum
 
@@ -185,9 +185,8 @@ class SemidirectGroup:
     def identity_element(self) -> GroupElement:
         return GroupElement(0, (0,) * self.fiber_dim)
 
-    def element(self, a, v) -> GroupElement:
+    def element(self, a: int, v) -> GroupElement:
         mod = self.ctx.modulus
-        a = a.value if isinstance(a, PadicScalar) else a % mod
         return GroupElement(a % mod, tuple(x % mod for x in v))
 
     def standard_generators(self) -> list[GroupElement]:
@@ -225,15 +224,13 @@ class SemidirectGroup:
         """g^-1 h^-1 g h."""
         return self.mul(self.inv(self.mul(h, g)), self.mul(g, h))
 
-    def pow(self, g: GroupElement, n) -> GroupElement:
-        """g^n for an integer or p-adic exponent.
+    def pow(self, g: GroupElement, n: int) -> GroupElement:
+        """g^n for an integer exponent (a p-adic one as its residue mod p^N).
 
         The fiber part is v (I + T + ... + T^(n-1)) = sum_j C(n, j+1) v F^j
         for T = M^a and F = T - I; F^K = 0, so at most K terms (module docstring).
         """
         mod = self.ctx.modulus
-        if isinstance(n, PadicScalar):
-            n = n.value
         if n < 0:
             return self.pow(self.inv(g), -n)
         F = self.twist(g.a) - self._powers[0]
@@ -331,12 +328,6 @@ class SubgroupData:
 
     def is_trivial(self) -> bool:
         return self.witness is None and self.fiber.is_zero()
-
-    def index_exp_in_group(self) -> int:
-        """log_p |G : U| at precision."""
-        g = self.group
-        fiber_index = Span.full(g.ctx, g.fiber_dim).index_exp(self.fiber)
-        return self.h_valuation + fiber_index
 
     def __repr__(self):
         return (

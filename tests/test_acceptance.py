@@ -15,7 +15,6 @@ from padiclie.bch import (
     bch_mul,
     bch_neg,
     free_nilpotent_lattice,
-    hausdorff_oracle,
     hausdorff_table,
     poly_add,
     poly_scale,
@@ -46,6 +45,8 @@ from padiclie.errors import PrecisionExhausted
 from padiclie.lattice import Lattice
 from padiclie.propgroup import lower_p_series_group, verify_group_potent_filtration
 
+from oracles import as_assoc, direct_sum, hausdorff_oracle
+
 
 def report(num, label, ok, started=None):
     stamp = f" [{time.time() - started:.1f}s]" if started is not None else ""
@@ -70,7 +71,7 @@ def test_criterion_01_bch_table():
         "XYX": Fraction(-1, 12),
     }
     t6 = hausdorff_table(6)
-    oracle_ok = poly_add(t6.as_assoc(), poly_scale(-1, hausdorff_oracle(6))) == {}
+    oracle_ok = poly_add(as_assoc(t6), poly_scale(-1, hausdorff_oracle(6))) == {}
     elapsed = time.time() - t0
     ok = low_ok and oracle_ok and elapsed < 10
     assert report(1, "series table: displayed low-weight coefficients and weight-6 oracle", ok, t0)
@@ -239,7 +240,7 @@ def test_criterion_10_isolator_laws():
         heisenberg(),
         make_thm73(ctx, "G4", {"s": 0, "r": 1})[0],
         Lattice(ctx, [[[0] * 4 for _ in range(4)] for _ in range(4)]),
-        heisenberg().direct_sum(Lattice(ctx, [[[0]]])),
+        direct_sum(heisenberg(), Lattice(ctx, [[[0]]])),
     ]
     failures = 0
     for trial in range(100):

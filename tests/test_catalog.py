@@ -9,7 +9,6 @@ from padiclie.catalog import (
     CATALOG_MANIFEST,
     abelianization_torsion_exp,
     action_matrix_on_abelian_ideal,
-    check_levi_example,
     dim3_invariant,
     iso_test_3dim,
     make_2dim,
@@ -263,23 +262,6 @@ class TestSplitPairs:
 
 
 class TestP3Pair:
-    def test_presentations_and_orders(self):
-        for p in (5, 7):
-            L1, L2 = make_p3_pair(p)
-            x, y = L1.basis_vector(0), L1.basis_vector(1)
-            found = any(
-                L1.element_order(xs) == p
-                and L1.element_order(ys) == p * p
-                and L1.comm(xs, ys) == L1.scale(p, ys)
-                for xs in (x, L1.neg(x))
-                for ys in (y, L1.neg(y))
-            )
-            assert found
-            z = L2.comm(L2.basis_vector(0), L2.basis_vector(1))
-            assert all(L2.element_order(u) in (1, p) for u in L2.elements())
-            assert all(L2.comm(z, L2.basis_vector(i)) == L2.zero() for i in range(3))
-            assert L1.order_multiset() != L2.order_multiset()
-
     def test_rejects_composite_before_small_p(self):
         for p in (4, 9, 15):
             with pytest.raises(BadParameter, match=f"p = {p} is not prime"):
@@ -299,30 +281,7 @@ class TestP3Pair:
             assert L1.mul(a, L1.neg(a)) == L1.zero()
 
 
-class TestExampleDimP:
-    def test_action_identity(self):
-        ctx = PadicContext(5, 4)
-        grp, lat = make_example_dim_p(ctx)
-        E = grp.action - PMatrix.identity(ctx, 4)
-        assert E.pow(4) == 5 * PMatrix.identity(ctx, 4)
-
-    def test_counterexample_status(self):
-        ctx = PadicContext(5, 4)
-        grp, lat = make_example_dim_p(ctx)
-        from padiclie.propgroup import check_gamma_p_in_phi_p
-
-        assert not check_gamma_p_in_phi_p(grp).holds
-        assert not lat.saturable_sufficient()
-
-
 class TestInsoluble:
-    def test_fixtures(self):
-        ctx = PadicContext(5, 6)
-        for which in ("sl2tri", "sl1delta"):
-            lat = make_insoluble(ctx, which)  # validates Jacobi on construction
-            assert not lat.is_soluble()
-            assert lat.saturable_sufficient()
-
     def test_iso_test_rejects(self):
         ctx = PadicContext(5, 6)
         with pytest.raises(NotSoluble):
@@ -330,13 +289,6 @@ class TestInsoluble:
 
 
 class TestLevi:
-    def test_all_checks(self):
-        ctx = PadicContext(5, 7)
-        lat = make_levi_example(ctx, 2)
-        rep = check_levi_example(lat, 2)
-        assert rep.passed
-        assert rep.lifts_checked == 5 ** 8
-
     def test_parameter_guards(self):
         with pytest.raises(BadParameter):
             make_levi_example(PadicContext(5, 7), 1)

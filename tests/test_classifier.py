@@ -5,16 +5,16 @@ import pytest
 
 from padiclie import PadicContext, PMatrix
 from padiclie.classifier import (
-    brute_force_orbit,
     canonical_matrix,
     classify,
     descriptors_equal,
     full_orbit_partition,
-    orbit_representative,
     similar,
 )
 from padiclie.claims import random_invertible
 from padiclie.errors import BadParameter, PrecisionExhausted, ScaleTooLarge
+
+from oracles import brute_force_orbit
 
 
 class TestClassify:
@@ -148,7 +148,7 @@ class TestBruteForce:
         a = brute_force_orbit(3, 2, (0, 0, 1, 0))
         b = brute_force_orbit(3, 2, (0, 0, 3, 0))
         assert a.isdisjoint(b)
-        assert orbit_representative(a) != orbit_representative(b)
+        assert min(a) != min(b)
 
     def test_scale_cap(self):
         with pytest.raises(ScaleTooLarge):

@@ -79,6 +79,14 @@ class TestVerify:
         assert "p >= 5" in err
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("p", [4, 9, 15])
+    def test_p2_groups_rejects_composite_p(self, capsys, p):
+        # the fixture runs at p = 2, but a --p that is not prime is still bad input
+        code, out, err = run(capsys, "verify", "p2-groups", "--p", str(p))
+        assert code == 2
+        assert f"p = {p} is not prime" in err
+        assert "pass" not in out
+
     @pytest.mark.parametrize(
         "fixture, n",
         [("example-4.2", 1), ("example-4.7", 1), ("insoluble", 1), ("thm73-grid", 1), ("p2-groups", 3)],

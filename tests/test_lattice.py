@@ -22,6 +22,8 @@ from padiclie.errors import (
 )
 from padiclie.linalg import fixpoint
 
+from oracles import direct_sum
+
 
 def heisenberg(ctx):
     return Lattice.from_brackets(ctx, 3, [(0, 1, (0, 0, 1))], ("x", "y", "z"))
@@ -98,7 +100,7 @@ class TestBracket:
         ctx = PadicContext(5, 4)
         L = heisenberg(ctx)
         full = L.full_span()
-        assert L.bracket_span(full, L.zero_span()).is_zero()
+        assert L.bracket_span(full, Span.zero(ctx, 3)).is_zero()
         derived = L.bracket_span(full, full)
         assert derived == Span(ctx, 3, [(0, 0, 1)])
         twod, _ = make_2dim(ctx, 2)
@@ -191,7 +193,7 @@ class TestPotency:
         for i, k in ((1, 2), (2, 3)):
             constants[0][i][k], constants[i][0][k] = 1, ctx3.modulus - 1
         filiform = Lattice(ctx3, constants)
-        crooked = lattice.Filtration([filiform.full_span(), filiform.zero_span()])
+        crooked = lattice.Filtration([filiform.full_span(), Span.zero(ctx3, 4)])
         cases = [(L, L.lower_p_series()) for L in pool] + [(filiform, crooked)]
         for L, filtration in cases:
             assert L.verify_potent_filtration(filtration) == self.reference_report(L, filtration)
@@ -229,7 +231,7 @@ class TestPotency:
         for i, k in ((1, 2), (2, 3)):
             constants[0][i][k], constants[i][0][k] = 1, ctx3.modulus - 1
         filiform = Lattice(ctx3, constants)
-        cases.append((filiform, lattice.Filtration([filiform.full_span(), filiform.zero_span()])))
+        cases.append((filiform, lattice.Filtration([filiform.full_span(), Span.zero(ctx3, 4)])))
 
         bracketed = []
         bracket_span = Lattice.bracket_span
@@ -298,7 +300,7 @@ class TestCentralizer:
     def test_examples(self):
         ctx = PadicContext(5, 6)
         H = heisenberg(ctx)
-        assert H.centralizer(H.zero_span()) == H.full_span()
+        assert H.centralizer(Span.zero(ctx, 3)) == H.full_span()
         assert H.centralizer(Span(ctx, 3, [(0, 0, 1)])) == H.full_span()
         twod, _ = make_2dim(ctx, 2)
         derived = twod.bracket_span(twod.full_span(), twod.full_span())
@@ -382,7 +384,7 @@ class TestRadical:
 
     def test_direct_sum_block(self):
         ctx = PadicContext(5, 6)
-        mix = make_insoluble(ctx, "sl2tri").direct_sum(make_2dim(ctx, 1)[0])
+        mix = direct_sum(make_insoluble(ctx, "sl2tri"), make_2dim(ctx, 1)[0])
         assert mix.soluble_radical() == Span(ctx, 5, [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
 
 

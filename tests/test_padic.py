@@ -3,32 +3,32 @@ from fractions import Fraction
 
 import pytest
 
-from padiclie import PadicContext, find_nonresidue, reduce, unit_inverse, valuation
+from padiclie import PadicContext, PMatrix, find_nonresidue
 from padiclie.errors import ContextMismatch, DenominatorDivisibleByP, NotAUnit
 from padiclie.padic import is_prime
 
 
 def test_reduce_examples():
     ctx = PadicContext(5, 2)
-    assert reduce(Fraction(1, 2), ctx).value == 13
-    assert reduce(Fraction(0, 1), ctx).value == 0
+    assert ctx.reduce_fraction(Fraction(1, 2)) == 13
+    assert ctx.reduce_fraction(Fraction(0, 1)) == 0
     with pytest.raises(DenominatorDivisibleByP):
-        reduce(Fraction(1, 5), ctx)
+        ctx.reduce_fraction(Fraction(1, 5))
 
 
 def test_valuation_examples():
     ctx = PadicContext(5, 4)
-    assert valuation(ctx.scalar(25)) == 2
-    assert valuation(ctx.scalar(0)) == 4
-    assert valuation(ctx.scalar(3)) == 0
+    assert ctx.val(25) == 2
+    assert ctx.val(0) == 4
+    assert ctx.val(3) == 0
 
 
 def test_unit_inverse_examples():
     ctx = PadicContext(5, 2)
-    assert unit_inverse(ctx.scalar(2)).value == 13
-    assert unit_inverse(ctx.scalar(1)).value == 1
+    assert ctx.inv(2) == 13
+    assert ctx.inv(1) == 1
     with pytest.raises(NotAUnit):
-        unit_inverse(ctx.scalar(5))
+        ctx.inv(5)
 
 
 def test_find_nonresidue():
@@ -59,66 +59,72 @@ def test_context_validation():
 
 
 def test_ring_axioms_random():
+    # the residue API against the ring operations: val is ultrametric, inv multiplicative
     ctx = PadicContext(7, 3)
+    mod = ctx.modulus
     rng = random.Random(0)
-    xs = [ctx.scalar(rng.randrange(ctx.modulus)) for _ in range(12)]
-    for a in xs[:6]:
-        for b in xs[:6]:
-            assert a + b == b + a
-            assert a * b == b * a
-            for c in xs[:4]:
-                assert (a + b) + c == a + (b + c)
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
+    xs = [rng.randrange(mod) for _ in range(12)]
+    for a in xs:
+        assert ctx.val(-a) == ctx.val(a)
+        for b in xs:
+            assert ctx.val(a + b) >= min(ctx.val(a), ctx.val(b))
+            if a % ctx.p and b % ctx.p:
+                assert ctx.inv(a * b) == ctx.inv(a) * ctx.inv(b) % mod
 
 
 def test_valuation_of_products():
     ctx = PadicContext(5, 5)
     rng = random.Random(1)
     for _ in range(200):
-        a = ctx.scalar(rng.randrange(ctx.modulus))
-        b = ctx.scalar(rng.randrange(ctx.modulus))
-        assert valuation(a * b) == min(valuation(a) + valuation(b), ctx.precision)
+        a = rng.randrange(ctx.modulus)
+        b = rng.randrange(ctx.modulus)
+        assert ctx.val(a * b) == min(ctx.val(a) + ctx.val(b), ctx.precision)
 
 
 def test_unit_inverse_involution():
     ctx = PadicContext(5, 4)
     rng = random.Random(2)
     for _ in range(100):
-        x = ctx.scalar(rng.randrange(ctx.modulus))
-        if not x.is_unit():
+        x = rng.randrange(ctx.modulus)
+        if ctx.val(x):
             continue
-        assert unit_inverse(unit_inverse(x)) == x
-        assert x * unit_inverse(x) == ctx.scalar(1)
+        assert ctx.inv(ctx.inv(x)) == x
+        assert x * ctx.inv(x) % ctx.modulus == 1
 
 
 def test_reduce_is_homomorphism():
     ctx = PadicContext(5, 3)
+    mod = ctx.modulus
     rng = random.Random(3)
     for _ in range(100):
         a = Fraction(rng.randrange(-40, 40), rng.choice([1, 2, 3, 4, 6, 7, 8, 9]))
         b = Fraction(rng.randrange(-40, 40), rng.choice([1, 2, 3, 4, 6, 7, 8, 9]))
-        assert reduce(a + b, ctx) == reduce(a, ctx) + reduce(b, ctx)
-        assert reduce(a * b, ctx) == reduce(a, ctx) * reduce(b, ctx)
+        ra, rb = ctx.reduce_fraction(a), ctx.reduce_fraction(b)
+        assert ctx.reduce_fraction(a + b) == (ra + rb) % mod
+        assert ctx.reduce_fraction(a * b) == ra * rb % mod
 
 
 def test_context_mismatch():
-    a = PadicContext(5, 3).scalar(2)
-    b = PadicContext(5, 4).scalar(2)
-    with pytest.raises(ContextMismatch):
-        a + b
+    # residues are plain ints; matrices check that their contexts agree
+    a = PMatrix(PadicContext(5, 3), [[2]])
+    b = PMatrix(PadicContext(5, 4), [[2]])
+    for op in (a.__add__, a.__sub__, a.__matmul__):
+        with pytest.raises(ContextMismatch):
+            op(b)
 
 
 def test_scalar_serialization():
     ctx = PadicContext(5, 3)
-    assert ctx.scalar(17).to_json() == "17"
+    # a residue is written as the plain int in [0, p^N)
+    assert PMatrix(ctx, [[17, -1], [250, 0]]).to_json() == {"rows": 2, "entries": [17, 124, 0, 0]}
     assert PadicContext.from_json({"p": 5, "precision": 3}) == ctx
 
 
 def test_zero_flags():
+    # zero at precision has valuation N, and a unit valuation 0
     ctx = PadicContext(5, 3)
-    assert ctx.scalar(0).is_zero()
-    assert ctx.scalar(125).is_zero()
-    assert not ctx.scalar(25).is_zero()
-    assert ctx.scalar(3).is_unit()
-    assert not ctx.scalar(10).is_unit()
+    assert ctx.val(0) == ctx.precision
+    assert ctx.val(125) == ctx.precision
+    assert ctx.val(25) < ctx.precision
+    assert ctx.val(3) == 0
+    assert ctx.val(10) > 0
