@@ -16,10 +16,11 @@ a later pivot p^e in [0, p^e).
 The module also houses the matrix exponential and logarithm (convergent
 for p >= 5 on matrices whose square vanishes mod p, with truncation bounds
 computed from p and N rather than hard-coded), p-adic powers of
-unipotent-mod-p matrices, their binomial (Mahler) sums over a table of powers
-of M - I (at precision 1 the table's length is the nilpotency degree mod p),
-and `fixpoint`, the one budgeted iteration behind every series and lattice
-closure in the package: a budget overrun raises `ClosureBudgetExceeded`.
+unipotent-mod-p matrices, the table of powers of M - I up to the first zero
+(at precision 1 its length is the nilpotency degree mod p), the binomial
+coefficients that combine that table into powers of M, and `fixpoint`, the
+one budgeted iteration behind every series and lattice closure in the
+package: a budget overrun raises `ClosureBudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -691,24 +692,6 @@ def powers_to_zero(E: PMatrix, limit: int) -> list[PMatrix] | None:
         powers.append(cur)
         cur = cur @ E
     return powers
-
-
-def binomial_sum(powers: list[PMatrix], n: int) -> PMatrix:
-    """Sum of C(n, j) E^j over the table of `powers_to_zero`: (I + E)^n for n >= 0.
-
-    This is the Mahler expansion of n -> (I + E)^n, a linear combination
-    of the table with no matrix product.
-    """
-    ctx = powers[0].ctx
-    mod = ctx.modulus
-    terms = [(c % mod, P.entries) for c, P in zip(binomials(n), powers)]
-    return PMatrix._reduced(
-        ctx,
-        [
-            [sum(c * P[r][s] for c, P in terms) % mod for s in range(len(row))]
-            for r, row in enumerate(terms[0][1])
-        ],
-    )
 
 
 def unipotent_order_exp(M: PMatrix) -> int:

@@ -72,9 +72,12 @@ UV, and `join` returns UV = <w_U> S with no generator loop.
 A `SubgroupData` is immutable once built and canonical, so [U, G] and U^p
 depend on the object alone: `commutator_subgroup` and `power_subgroup` keep
 them in its `commutator` and `power` slots, which the key (`__eq__`,
-`__hash__`) ignores.  `full_subgroup` is one stored object per group, so the
-lower p-series, Phi(G) and the potency check share [G, G], G^p and each
-[N_i, G] and N_i^p; a stored result lives as long as the object holding it.
+`__hash__`) ignores.  `full_subgroup` is one stored object per group, and it
+keeps Phi(G) = [G, G] G^p in its `lower_p` slot, so the lower p-series,
+Phi(G) and the potency check share [G, G], G^p, the one object G_2 with its
+G_2^p, and each [N_i, G] and N_i^p.  Only G keeps its lower p-series step,
+so a group does not hold its whole series.  A stored result lives as long as
+the object holding it.
 A group and its stored G refer to each other, so once `full_subgroup` has
 run, the group, its G and the results in G's slots are freed by the cyclic
 garbage collector rather than as soon as the last outside reference goes.
@@ -97,9 +100,23 @@ p^N for some K <= kN.  For every integer a >= 0,
 
     M^a = (I + E)^a = sum_{j<K} C(a, j) E^j,
 
-so each group keeps the table [E^0, ..., E^(K-1)], and a twist is a linear
-combination of it with no matrix product.  Powers take the same route: with
-T = M^a and F = T - I, the identity of polynomials in F
+and every caller reads the twist through its increment
+
+    F_a = M^a - I = sum_{1<=j<K} C(a, j) E^j,
+
+a linear combination with no matrix product.  Each group keeps the table
+[E^0, ..., E^(K-1)] and, beside it, its transpose by entries: for fiber
+column s and row r the tuple (E^1[r][s], ..., E^(K-1)[r][s]).  A miss
+computes the K - 1 coefficients C(a, j) mod p^N once, by the exact
+recurrence of `binomials`, and each entry of F_a is then one dot product of
+them with a tuple of the table.  F_a is stored as its n columns, so a row
+vector times F_a is one dot product per column; the bounded cache, keyed by
+a mod p^N, holds these columns.  The product (a1 + a2, v1 + v1 F_a2 + v2),
+the inverse (-a, -(v + v F_-a)), `pow`, the twist closure, U^p and [U, G]
+all read them, [U, G] with E = F_1; `twist` returns I + F_a as a matrix.
+
+Powers take the same route: with T = M^a and F = T - I, the identity of
+polynomials in F
 
     I + T + ... + T^(n-1) = ((I + F)^n - I) / F = sum_{j>=0} C(n, j+1) F^j
 
@@ -114,31 +131,23 @@ k is at most the fiber dimension, a fiber of dimension at most p gives
 M^(p^N) = I.  Above that it can fail: for a Jordan block I + J of size n > p
 the j = p term is alone on its superdiagonal with valuation N - 1, so
 M^(p^N) != I and reducing exponents mod p^N breaks associativity.
-`SemidirectGroup` therefore checks M^(p^N) = I with one binomial sum when it
-is built and rejects the action otherwise.
+`SemidirectGroup` therefore checks F_(p^N) = 0 when it is built, with the
+same kernel at the unreduced exponent p^N, and rejects the action otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import mul
 
 from .errors import ContextMismatch, NotNormal, NotProP
 from .lattice import PotencyReport, PotencyStep
-from .linalg import (
-    PMatrix,
-    Span,
-    binomial_sum,
-    binomials,
-    fixpoint,
-    powers_to_zero,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
+from .linalg import PMatrix, Span, binomials, fixpoint, powers_to_zero, vec_sub
 from .padic import PadicContext
 
-TWIST_CACHE_SIZE = 256  # twists kept per group; a miss costs one binomial sum
+# increments M^a - I kept per group; a miss costs K - 1 binomials and n^2 dot products
+TWIST_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -157,26 +166,30 @@ class SemidirectGroup:
     exponents can be reduced mod p^N; the module docstring says when.
     """
 
-    __slots__ = ("ctx", "fiber_dim", "action", "_twist_cache", "_powers", "_full")
+    __slots__ = ("ctx", "fiber_dim", "action", "_twist_cache", "_powers", "_table", "_full")
 
     def __init__(self, ctx: PadicContext, action: PMatrix):
         if action.ctx != ctx:
             raise ContextMismatch("action matrix context differs")
         if action.rows != action.cols:
             raise ValueError("action matrix must be square")
-        I = PMatrix.identity(ctx, action.rows)
+        n = action.rows
         # E^(d N) = 0 at p^N exactly when E = M - I is nilpotent mod p
-        powers = powers_to_zero(action - I, action.rows * ctx.precision)
+        powers = powers_to_zero(action - PMatrix.identity(ctx, n), n * ctx.precision)
         if powers is None:
             raise NotProP("action matrix is not unipotent mod p")
-        if binomial_sum(powers, ctx.modulus) != I:
-            raise NotProP("action matrix has p-power order above p^N at this precision")
         self.ctx = ctx
-        self.fiber_dim = action.rows
+        self.fiber_dim = n
         self.action = action
-        self._twist_cache: dict[int, PMatrix] = {}
+        self._twist_cache: dict[int, tuple] = {}  # a mod p^N -> the columns of F_a
         self._powers = powers  # [E^0, ..., E^(K-1)] for E = M - I, with E^K = 0
+        # column s, row r: (E^1[r][s], ..., E^(K-1)[r][s])
+        self._table = tuple(
+            tuple(tuple(P.entries[r][s] for P in powers[1:]) for r in range(n)) for s in range(n)
+        )
         self._full = None  # G as a SubgroupData, built by full_subgroup
+        if any(map(any, self._increment_columns(ctx.modulus))):
+            raise NotProP("action matrix has p-power order above p^N at this precision")
 
     @property
     def dim(self) -> int:
@@ -195,26 +208,45 @@ class SemidirectGroup:
             gens.append(self.element(0, tuple(1 if j == i else 0 for j in range(self.fiber_dim))))
         return gens
 
-    def twist(self, a: int) -> PMatrix:
-        """M^a for an exponent residue 0 <= a < p^N: the binomial sum of C(a, j) E^j."""
+    def _increment_columns(self, a: int) -> tuple:
+        """The columns of F_a = M^a - I = sum_{1<=j<K} C(a, j) E^j for an integer a >= 0."""
+        mod = self.ctx.modulus
+        cs = [c % mod for c in islice(binomials(a), 1, len(self._powers))]
+        return tuple(tuple(sum(map(mul, cs, entry)) % mod for entry in col) for col in self._table)
+
+    def _increment(self, a: int) -> tuple:
+        """F_a = M^a - I as its n columns, for a taken mod p^N; kept in the bounded cache."""
         a %= self.ctx.modulus
-        m = self._twist_cache.get(a)
-        if m is None:
-            m = binomial_sum(self._powers, a)
+        F = self._twist_cache.get(a)
+        if F is None:
+            F = self._increment_columns(a)
             if len(self._twist_cache) >= TWIST_CACHE_SIZE:
                 del self._twist_cache[next(iter(self._twist_cache))]  # the oldest entry
-            self._twist_cache[a] = m
-        return m
+            self._twist_cache[a] = F
+        return F
+
+    def twist(self, a: int) -> PMatrix:
+        """M^a = I + F_a for an exponent residue 0 <= a < p^N."""
+        mod = self.ctx.modulus
+        rows = zip(*self._increment(a))
+        entries = [[(x + (r == s)) % mod for s, x in enumerate(row)] for r, row in enumerate(rows)]
+        return PMatrix._reduced(self.ctx, entries)
 
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        """(a1 + a2, v1 + v1 F_a2 + v2)."""
         mod = self.ctx.modulus
-        tw = self.twist(h.a)
-        return GroupElement((g.a + h.a) % mod, vec_add(tw.apply_row(g.v), h.v, mod))
+        v = g.v
+        F = self._increment(h.a)
+        w = tuple((x + sum(map(mul, v, col)) + y) % mod for x, col, y in zip(v, F, h.v, strict=True))
+        return GroupElement((g.a + h.a) % mod, w)
 
     def inv(self, g: GroupElement) -> GroupElement:
+        """(-a, -(v + v F_-a))."""
         mod = self.ctx.modulus
-        tw = self.twist(-g.a)
-        return GroupElement(-g.a % mod, vec_scale(-1, tw.apply_row(g.v), mod))
+        v = g.v
+        F = self._increment(-g.a)
+        w = tuple(-(x + sum(map(mul, v, col))) % mod for x, col in zip(v, F, strict=True))
+        return GroupElement(-g.a % mod, w)
 
     def conj(self, g: GroupElement, h: GroupElement) -> GroupElement:
         """h^-1 g h."""
@@ -233,15 +265,15 @@ class SemidirectGroup:
         mod = self.ctx.modulus
         if n < 0:
             return self.pow(self.inv(g), -n)
-        F = self.twist(g.a) - self._powers[0]
+        F = self._increment(g.a)
         acc = (0,) * self.fiber_dim
         w = g.v
         for c in islice(binomials(n), 1, None):
             if not any(w):
                 break
             c %= mod
-            acc = tuple((x + c * y) % mod for x, y in zip(acc, w))
-            w = F.apply_row(w)
+            acc = tuple((x + c * y) % mod for x, y in zip(acc, w, strict=True))
+            w = _row_times(w, F, mod)
         return GroupElement(n * g.a % mod, acc)
 
     def to_json(self) -> dict:
@@ -263,9 +295,10 @@ class SubgroupData:
     """A closed subgroup in canonical split form: `fiber` is U ∩ F and `witness`
     None or (p^e, v) with v reduced modulo it (module docstring).  The fiber
     passed in must be invariant under the witness twist; it is not closed here.
-    `commutator` and `power` hold [U, G] and U^p once built; the key ignores them."""
+    `commutator` and `power` hold [U, G] and U^p once built, and `lower_p` holds
+    Phi(G) = [G, G] G^p on the stored G; the key ignores them."""
 
-    __slots__ = ("group", "witness", "fiber", "commutator", "power")
+    __slots__ = ("group", "witness", "fiber", "commutator", "power", "lower_p")
 
     def __init__(self, group: SemidirectGroup, witness: GroupElement | None, fiber: Span):
         self.group = group
@@ -283,6 +316,7 @@ class SubgroupData:
         self.fiber = fiber
         self.commutator = None
         self.power = None
+        self.lower_p = None
 
     @property
     def h_valuation(self):
@@ -336,13 +370,20 @@ class SubgroupData:
         )
 
 
-def _invariant_span(group: SemidirectGroup, rows, F: PMatrix) -> Span:
-    """Least F-invariant fiber span containing the rows: the span of S, S F, ...,
-    S F^(n-1) for fiber dimension n, cut at the first all-zero batch (module docstring)."""
+def _row_times(v, F, mod):
+    """The row vector v times the matrix with columns F."""
+    return tuple(sum(map(mul, v, col)) % mod for col in F)
+
+
+def _invariant_span(group: SemidirectGroup, rows, F) -> Span:
+    """Least F-invariant fiber span containing the rows, for F given by its columns: the
+    span of S, S F, ..., S F^(n-1) for fiber dimension n, cut at the first all-zero batch
+    (module docstring)."""
+    mod = group.ctx.modulus
     rows = list(rows)
     batch = rows
     for _ in range(group.fiber_dim - 1):
-        batch = [w for w in map(F.apply_row, batch) if any(w)]
+        batch = [w for w in (_row_times(r, F, mod) for r in batch) if any(w)]
         if not batch:
             break
         rows.extend(batch)
@@ -351,7 +392,7 @@ def _invariant_span(group: SemidirectGroup, rows, F: PMatrix) -> Span:
 
 def _twist_closure(group: SemidirectGroup, S: Span, a: int) -> Span:
     """Closure of a fiber span under M^a and M^-a: its (M^a - I)-invariant span."""
-    return _invariant_span(group, S.rows, group.twist(a) - group._powers[0])
+    return _invariant_span(group, S.rows, group._increment(a))
 
 
 def generated_subgroup(group: SemidirectGroup, gens) -> SubgroupData:
@@ -408,12 +449,12 @@ def commutator_subgroup(U: SubgroupData) -> SubgroupData:
     if U.commutator is not None:
         return U.commutator
     group = U.group
-    I = group._powers[0]
-    E = group.action - I
-    rows = [E.apply_row(f) for f in U.fiber.rows]
+    mod = group.ctx.modulus
+    E = group._increment(1)  # F_1 = M - I
+    rows = [_row_times(f, E, mod) for f in U.fiber.rows]
     if U.witness is not None:
-        rows.append(E.apply_row(U.witness.v))
-        rows.extend((group.twist(U.witness.a) - I).entries)
+        rows.append(_row_times(U.witness.v, E, mod))
+        rows.extend(zip(*group._increment(U.witness.a)))  # the rows of M^(a_w) - I
     U.commutator = SubgroupData(group, None, _invariant_span(group, rows, E))
     return U.commutator
 
@@ -435,10 +476,11 @@ def power_subgroup(U: SubgroupData) -> SubgroupData:
     if U.witness is None:
         U.power = SubgroupData(group, None, pF)
         return U.power
-    F = group.twist(U.witness.a) - group._powers[0]
+    F = group._increment(U.witness.a)
+    mod = group.ctx.modulus
     deep = U.fiber.rows
     for _ in range(p - 1):
-        deep = [F.apply_row(r) for r in deep]
+        deep = [_row_times(r, F, mod) for r in deep]
     U.power = SubgroupData(group, group.pow(U.witness, p), pF.add_rows(deep))
     return U.power
 
@@ -460,8 +502,15 @@ def gamma_series(group: SemidirectGroup) -> list[SubgroupData]:
 
 
 def _lower_p_step(U: SubgroupData) -> SubgroupData:
+    """[U, G] U^p.  The stored G keeps its step, Phi(G), in its `lower_p` slot; other
+    subgroups do not, so that a group does not hold its whole lower p-series."""
+    if U.lower_p is not None:
+        return U.lower_p
     # [U, G] is normal, and U^p is characteristic in the normal U: a join of normal subgroups
-    return join(commutator_subgroup(U), power_subgroup(U))
+    step = join(commutator_subgroup(U), power_subgroup(U))
+    if U is U.group._full:
+        U.lower_p = step
+    return step
 
 
 def lower_p_series_group(group: SemidirectGroup) -> list[SubgroupData]:
@@ -470,7 +519,7 @@ def lower_p_series_group(group: SemidirectGroup) -> list[SubgroupData]:
 
 
 def frattini_p(group: SemidirectGroup) -> SubgroupData:
-    """Phi(G) = G^p [G, G] = G_2."""
+    """Phi(G) = G^p [G, G] = G_2, the object the lower p-series of G holds."""
     return _lower_p_step(full_subgroup(group))
 
 

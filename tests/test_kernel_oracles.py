@@ -1,11 +1,14 @@
 """The lattice and elimination kernels against plain second routes.
 
 `Lattice.bracket` and `bracket_span` run over half of the nonzero structure
-constants, `_eliminate` reduces its rows once, and `bch_mul` reduces the
-series coefficients once per lattice.  Each is compared here with a route
-that does none of that: a dense triple loop over `constants`, spans of
-explicitly bracketed generators, the elimination that reduces at every
-column, and the product that reduces every term's coefficient separately.
+constants, `_eliminate` reduces its rows once, `bch_mul` reduces the
+series coefficients once per lattice, and the split-group law reads the
+cached increment M^a - I as binomial combinations of a table of powers of
+M - I.  Each is compared here with a route that does none of that: a dense
+triple loop over `constants`, spans of explicitly bracketed generators, the
+elimination that reduces at every column, the product that reduces every
+term's coefficient separately, and the law (a1 + a2, v1 M^a2 + v2) with M^a2
+by square-and-multiply on plain lists.
 """
 
 import random
@@ -14,9 +17,17 @@ import pytest
 
 from padiclie import Lattice, PadicContext, PMatrix, Span
 from padiclie.bch import bch_mul, evaluate_words, free_nilpotent_lattice, hausdorff_table
-from padiclie.catalog import make_2dim, make_example_dim_p, make_insoluble, make_thm73
+from padiclie.catalog import (
+    make_2dim,
+    make_example_dim_p,
+    make_insoluble,
+    make_p2_groups,
+    make_thm73,
+    thm73_grid,
+)
 from padiclie.errors import ClassTooLarge
 from padiclie.linalg import _eliminate, vec_add, vec_scale
+from padiclie.propgroup import TWIST_CACHE_SIZE, GroupElement, SemidirectGroup
 
 CONTEXTS = [(p, N) for p in (2, 3, 5, 7) for N in (1, 3, 6)]
 
@@ -221,3 +232,114 @@ def test_bch_mul_matches_reducing_every_term(p, N):
             expected = bch_mul_reducing_every_term(L, u, v)
             assert bch_mul(L, u, v) == expected
             assert bch_mul(Lattice(ctx, L.constants, L.labels), u, v) == expected  # fresh slots
+
+
+class PlainLaw:
+    """(a1, v1)(a2, v2) = (a1 + a2, v1 M^a2 + v2) with M^a2 by square-and-multiply on lists."""
+
+    def __init__(self, group):
+        self.mod = group.ctx.modulus
+        self.n = group.fiber_dim
+        self.M = [list(row) for row in group.action.entries]
+        self.twists = {}
+
+    def matmul(self, A, B):
+        n, mod = self.n, self.mod
+        return [[sum(A[i][t] * B[t][j] for t in range(n)) % mod for j in range(n)] for i in range(n)]
+
+    def vecmat(self, v, A):
+        return tuple(sum(v[i] * A[i][j] for i in range(self.n)) % self.mod for j in range(self.n))
+
+    def matrix_power(self, A, e):
+        out = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+        while e:
+            if e & 1:
+                out = self.matmul(out, A)
+            A = self.matmul(A, A)
+            e >>= 1
+        return out
+
+    def twist(self, a):
+        a %= self.mod
+        if a not in self.twists:
+            self.twists[a] = self.matrix_power(self.M, a)
+        return self.twists[a]
+
+    def mul(self, g, h):
+        w = self.vecmat(g.v, self.twist(h.a))
+        return GroupElement((g.a + h.a) % self.mod, tuple((x + y) % self.mod for x, y in zip(w, h.v)))
+
+    def pow(self, g, k):
+        """g^k for k >= 0: square-and-multiply on triples (a, v, M^a), whose product is
+        (a1 + a2, v1 M^a2 + v2, M^a1 M^a2)."""
+        mod = self.mod
+        acc = (0, (0,) * self.n, self.twist(0))
+        base = (g.a % mod, g.v, self.twist(g.a))
+        while k:
+            if k & 1:
+                acc = self.triple(acc, base)
+            base = self.triple(base, base)
+            k >>= 1
+        return GroupElement(acc[0], tuple(x % mod for x in acc[1]))
+
+    def triple(self, x, y):
+        v = tuple((a + b) % self.mod for a, b in zip(self.vecmat(x[1], y[2]), y[1]))
+        return (x[0] + y[0]) % self.mod, v, self.matmul(x[2], y[2])
+
+
+def law_groups():
+    """Grid groups at p = 5, 7 (K up to 24), the dimension-p group (n = 4, K = 48),
+    the six p = 2 groups and a trivial action (K = 1), all at N = 12."""
+    groups = []
+    for p in (5, 7):
+        ctx = PadicContext(p, 12)
+        groups += [make_thm73(ctx, fam, params)[1] for _, fam, params in thm73_grid(ctx, (0, 1), (0, 1))]
+    groups.append(make_example_dim_p(PadicContext(5, 12))[0])
+    ctx2 = PadicContext(2, 12)
+    groups += [make_p2_groups(ctx2, sign, s) for sign in "+-" for s in (2, 3, None)]
+    ctx = PadicContext(3, 12)
+    groups.append(SemidirectGroup(ctx, PMatrix.identity(ctx, 2)))
+    return groups
+
+
+def test_law_groups_cover_the_table_lengths():
+    lengths = {len(g._powers) for g in law_groups()}
+    assert {1, 24, 48} <= lengths
+
+
+def test_group_law_matches_square_and_multiply():
+    rng = random.Random(5000)
+    for g in law_groups():
+        law = PlainLaw(g)
+        mod = g.ctx.modulus
+        e = g.identity_element()
+        exponents = [0, 1, -1, mod - 1] + [rng.randrange(mod) for _ in range(2)]
+        xs = [g.element(a, random_vector(g.ctx, g.fiber_dim, rng)) for a in exponents]
+        for x in xs:
+            for y in xs:
+                assert g.mul(x, y) == law.mul(x, y), (g.action, x, y)
+            xi = g.inv(x)
+            assert law.mul(x, xi) == e == law.mul(xi, x)
+        x = xs[-1]
+        for n in exponents + [rng.randrange(mod, 3 * mod)]:
+            if n >= 0:
+                assert g.pow(x, n) == law.pow(x, n), (g.action, x, n)
+            else:
+                assert law.mul(g.pow(x, n), law.pow(x, -n)) == e
+
+
+def test_evicted_increment_is_recomputed_right():
+    g = make_example_dim_p(PadicContext(5, 12))[0]
+    law = PlainLaw(g)
+    mod = g.ctx.modulus
+    rng = random.Random(5001)
+    x = g.element(rng.randrange(mod), random_vector(g.ctx, g.fiber_dim, rng))
+    exponents = rng.sample(range(mod), TWIST_CACHE_SIZE + 10)
+    first = g.element(exponents[0], (1,) * g.fiber_dim)
+    expected = law.mul(x, first)
+    for a in exponents:
+        g.mul(x, g.element(a, (0,) * g.fiber_dim))
+    assert len(g._twist_cache) == TWIST_CACHE_SIZE
+    assert exponents[0] not in g._twist_cache
+    assert g.mul(x, first) == expected
+    assert exponents[0] in g._twist_cache

@@ -17,7 +17,6 @@ from padiclie.errors import (
 from padiclie.linalg import (
     _nilpotency_degree_mod_p,
     _series_bound,
-    binomial_sum,
     binomials,
     fixpoint,
     left_kernel,
@@ -425,24 +424,6 @@ class TestBinomialSums:
             assert list(binomials(n)) == [math.comb(n, j) for j in range(n + 1)]
         big = 5**12 + 3
         assert list(islice(binomials(big), 30)) == [math.comb(big, j) for j in range(30)]
-
-    def test_binomial_sum_against_square_and_multiply(self):
-        rng = random.Random(21)
-        for p, N, n in ((5, 6, 3), (3, 5, 3), (2, 6, 2), (7, 4, 4)):
-            ctx = PadicContext(p, N)
-            for _ in range(5):
-                # nilpotent mod p: strictly upper triangular plus p * noise
-                rows = [
-                    [rng.randrange(ctx.modulus) * (1 if j > i else p) for j in range(n)]
-                    for i in range(n)
-                ]
-                E = PMatrix(ctx, rows)
-                powers = powers_to_zero(E, n * N)
-                assert powers is not None and len(powers) <= n * N
-                assert (powers[-1] @ E).is_zero()
-                M = PMatrix.identity(ctx, n) + E
-                for a in [0, 1, 2, p, p**N - 1] + [rng.randrange(ctx.modulus) for _ in range(5)]:
-                    assert binomial_sum(powers, a) == M.pow(a), (p, a)
 
     def test_powers_to_zero_rejects_non_nilpotent(self):
         ctx = ctx5()

@@ -170,6 +170,25 @@ class TestFastPaths:
             for a in [0, 1, -1, -7] + [rng.randrange(g.ctx.modulus) for _ in range(20)]:
                 assert g.twist(a) == g.action.pow(a) == mat_pow_padic(g.action, a), a
 
+    def test_twist_against_square_and_multiply(self):
+        # seeded nilpotent-mod-p E with n <= p, so that M = I + E has M^(p^N) = I
+        rng = random.Random(21)
+        for p, N, n in ((5, 6, 3), (3, 5, 3), (2, 6, 2), (7, 4, 4)):
+            ctx = PadicContext(p, N)
+            for _ in range(5):
+                # nilpotent mod p: strictly upper triangular plus p * noise
+                rows = [
+                    [rng.randrange(ctx.modulus) * (1 if j > i else p) for j in range(n)]
+                    for i in range(n)
+                ]
+                E = PMatrix(ctx, rows)
+                M = PMatrix.identity(ctx, n) + E
+                g = SemidirectGroup(ctx, M)
+                assert len(g._powers) <= n * N
+                assert (g._powers[-1] @ E).is_zero()
+                for a in [0, 1, 2, p, p**N - 1] + [rng.randrange(ctx.modulus) for _ in range(5)]:
+                    assert g.twist(a) == M.pow(a), (p, a)
+
     def test_twist_miss_makes_no_matmul(self, monkeypatch):
         groups = self.groups()  # the tables of E^j are built here
         calls = []
@@ -186,6 +205,26 @@ class TestFastPaths:
                 assert a % g.ctx.modulus not in g._twist_cache
                 g.twist(a)
         assert calls == []
+
+    def test_law_miss_builds_no_matrix(self, monkeypatch):
+        groups = self.groups()
+        built = []
+        original = PMatrix._reduced.__func__
+
+        def counted(cls, ctx, entries):
+            built.append(entries)
+            return original(cls, ctx, entries)
+
+        monkeypatch.setattr(PMatrix, "_reduced", classmethod(counted))
+        monkeypatch.setattr(PMatrix, "__init__", lambda *args: built.append(args))
+        rng = random.Random(19)
+        for g in groups:
+            for a in rng.sample(range(g.ctx.modulus), 30):
+                x = random_element(g, rng)
+                g.mul(x, g.element(a, x.v))
+                g.inv(g.element(a + 1, x.v))
+                g.pow(g.element(a + 2, x.v), rng.randrange(g.ctx.modulus))
+        assert built == []
 
     def test_pow_against_square_and_multiply(self):
         rng = random.Random(17)
@@ -744,13 +783,13 @@ class TestSaturabilityChecks:
             chain = lower_p_series_group(g)
             check_gamma_p_in_phi_p(g)
             verify_group_potent_filtration(g, chain)
-            # one [U, G] and one U^p per distinct subgroup object: [N_i, G] and N_i^p for
-            # each chain member, shared by the three calls, and Phi^p for a Phi built anew
+            # one [U, G] and one U^p per chain member, shared by the three calls: Phi is
+            # the chain's G_2 object, so Phi^p is its stored power; no key is computed twice
             for slot in ("commutator", "power"):
                 assert len({id(U) for U in built[slot]}) == len(built[slot])
-            assert {id(U) for U in built["commutator"]} == {id(U) for U in chain}
-            assert len(built["power"]) == len(chain) + 1
-            assert {id(U) for U in built["power"]} > {id(U) for U in chain}
+                assert len({(U.witness, U.fiber) for U in built[slot]}) == len(built[slot])
+                assert {id(U) for U in built[slot]} == {id(U) for U in chain}
+            assert frattini_p(g) is chain[1]
             assert built["gamma_series"] == []
 
     def test_not_normal_rejected(self):
