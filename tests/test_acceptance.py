@@ -25,8 +25,6 @@ from padiclie.catalog import (
     make_example_dim_p,
     make_p2_groups,
     make_thm73,
-    thm73_fiber_matrix,
-    thm73_grid,
 )
 from padiclie.claims import (
     classifier_oracle,
@@ -42,10 +40,9 @@ from padiclie.claims import (
 )
 from padiclie.classifier import classify, descriptors_equal
 from padiclie.errors import PrecisionExhausted
-from padiclie.lattice import Lattice
 from padiclie.propgroup import lower_p_series_group, verify_group_potent_filtration
 
-from oracles import as_assoc, direct_sum, hausdorff_oracle
+from oracles import abelian, as_assoc, direct_sum, grid, hausdorff_oracle, heisenberg, random_element
 
 
 def report(num, label, ok, started=None):
@@ -105,19 +102,15 @@ def test_criterion_03_group_axiom_suite():
             if bch_mul(L, u, zero) != u or bch_mul(L, u, bch_neg(L, u)) != zero:
                 failures += 1
 
-    groups = [make_thm73(ctx, fam, params)[1] for _, fam, params in thm73_grid(ctx)]
+    groups = [m.group for m in grid(ctx)]
     groups += [make_2dim(ctx, s)[1] for s in (1, 2, 3)]
     groups.append(make_example_dim_p(PadicContext(5, 4))[0])
     c2 = PadicContext(2, 8)
     groups += [make_p2_groups(c2, "+", 2), make_p2_groups(c2, "-", 3)]
     for g in groups:
         e = g.identity_element()
-        m = g.ctx.modulus
         for _ in range(100):
-            a, b, c = (
-                g.element(rng.randrange(m), [rng.randrange(m) for _ in range(g.fiber_dim)])
-                for _ in range(3)
-            )
+            a, b, c = (random_element(g, rng) for _ in range(3))
             if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
                 failures += 1
             if g.mul(a, e) != a or g.mul(a, g.inv(a)) != e:
@@ -200,8 +193,7 @@ def test_criterion_09_exp_versus_linear_action():
     ctx = PadicContext(5, 6)
     mismatches = []
     total = 0
-    for name, fam, params in thm73_grid(ctx):
-        A = thm73_fiber_matrix(ctx, fam, params)
+    for name, A, _, _ in grid(ctx):
         sq = A @ A
         if any(e % 5 for row in sq.entries for e in row):
             continue
@@ -229,18 +221,11 @@ def test_criterion_10_isolator_laws():
     t0 = time.time()
     ctx = PadicContext(5, 4)
     rng = random.Random(103)
-
-    def heisenberg():
-        constants = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-        constants[0][1] = [0, 0, 1]
-        constants[1][0] = [0, 0, -1]
-        return Lattice(ctx, constants)
-
     pool = [
-        heisenberg(),
+        heisenberg(ctx),
         make_thm73(ctx, "G4", {"s": 0, "r": 1})[0],
-        Lattice(ctx, [[[0] * 4 for _ in range(4)] for _ in range(4)]),
-        direct_sum(heisenberg(), Lattice(ctx, [[[0]]])),
+        abelian(ctx, 4),
+        direct_sum(heisenberg(ctx), abelian(ctx, 1)),
     ]
     failures = 0
     for trial in range(100):

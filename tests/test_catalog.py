@@ -8,7 +8,6 @@ from padiclie import catalog
 from padiclie.catalog import (
     CATALOG_MANIFEST,
     abelianization_torsion_exp,
-    action_matrix_on_abelian_ideal,
     dim3_invariant,
     iso_test_3dim,
     make_2dim,
@@ -21,6 +20,7 @@ from padiclie.catalog import (
     thm73_fiber_matrix,
     thm73_grid,
 )
+from padiclie.claims import random_invertible
 from padiclie.classifier import classify, descriptors_equal
 from padiclie.errors import (
     BadParameter,
@@ -31,40 +31,8 @@ from padiclie.errors import (
     ResidualNilpotenceViolated,
 )
 from padiclie.lattice import Lattice
-from padiclie.linalg import Span
 
-
-def explicit_fiber_matrix(ctx, family, params):
-    """G1-G5 written out entry by entry, apart from the classifier's canonical matrices."""
-    p = ctx.p
-    s, r, d = (params.get(k) for k in "srd")
-
-    def need(cond, msg):
-        if not cond:
-            raise BadParameter(msg)
-
-    if family == "G1":
-        need(s is not None and s >= 1, "G1 needs s >= 1")
-        return PMatrix(ctx, [[p**s, 0], [0, p**s]])
-    if family == "G2":
-        need(s is not None and s >= 1, "G2 needs s >= 1")
-        need(r is not None and r >= 1, "G2 needs r >= 1")
-        need(d is not None, "G2 needs d")
-        ps, pr = p**s, p**r
-        return PMatrix(ctx, [[ps, ps * pr * d], [ps * pr, ps]])
-    if family == "G3":
-        need(s is not None and s >= 0 and r is not None and r >= 0, "G3 needs s, r >= 0")
-        need(d is not None, "G3 needs d")
-        need(s >= 1 or (r >= 1 and d % p == 0), "G3 needs s >= 1, or r >= 1 with p | d")
-        ps = p**s
-        return PMatrix(ctx, [[0, ps * d], [ps, ps * p**r]])
-    if family in ("G4", "G5"):
-        need(s is not None and s >= 0 and r is not None and r >= 0, "needs s, r >= 0")
-        need(s + r >= 1, "needs s + r >= 1")
-        ps, pr = p**s, p**r
-        top = pr if family == "G4" else pr * ctx.rho
-        return PMatrix(ctx, [[0, ps * top], [ps, 0]])
-    raise BadParameter(f"unknown family {family}")
+from oracles import explicit_fiber_matrix, grid, uncached_invariant, uncached_verdict
 
 
 def outcome(build):
@@ -198,19 +166,13 @@ class TestThm73:
             thm73_grid(PadicContext(2, 6))
 
     def test_grid_members_all_validate(self):
-        ctx = PadicContext(5, 8)
-        grid = thm73_grid(ctx)
-        assert len(grid) > 50
-        for name, fam, params in grid:
-            make_thm73(ctx, fam, params)
+        assert len(grid(PadicContext(5, 8))) > 50  # each member's lattice and group are built
 
     def test_presentation_relations_hold_in_group_arithmetic(self):
         # with action 1 + A the fiber is abelian, so [y_i, x] equals the
         # product of y_j to the A_ij exactly
         ctx = PadicContext(5, 8)
-        for name, fam, params in thm73_grid(ctx):
-            lat, grp = make_thm73(ctx, fam, params)
-            A = thm73_fiber_matrix(ctx, fam, params)
+        for name, A, lat, grp in grid(ctx):
             x, y1, y2 = grp.standard_generators()
             assert grp.comm(y1, y2) == grp.identity_element()
             for i, yi in enumerate((y1, y2)):
@@ -244,7 +206,7 @@ class TestSplitPairs:
     @pytest.mark.parametrize("p", [5, 7])
     def test_lattice_rows_are_the_action_minus_identity(self, p):
         ctx = PadicContext(p, 8)
-        pairs = [make_thm73(ctx, fam, params) for _, fam, params in thm73_grid(ctx)]
+        pairs = [(m.lattice, m.group) for m in grid(ctx)]
         pairs += [make_2dim(ctx, s) for s in (1, 2, 3)]
         pairs.append(make_example_dim_p(ctx)[::-1])
         for lat, grp in pairs:
@@ -254,9 +216,7 @@ class TestSplitPairs:
     @pytest.mark.parametrize("p", [5, 7])
     def test_exp_action_keeps_the_rows_of_a(self, p):
         ctx = PadicContext(p, 8)
-        for _, fam, params in thm73_grid(ctx):
-            lat, grp = make_thm73(ctx, fam, params, exp_action=True)
-            A = thm73_fiber_matrix(ctx, fam, params)
+        for _, A, lat, grp in grid(ctx, exp_action=True):
             assert _fiber_rows(lat, grp) == A.entries
             assert grp.action == mat_exp(A)
 
@@ -330,11 +290,7 @@ class TestIso:
         for fam, params in (("G0", {"s": 1}), ("G2", {"s": 1, "r": 1, "d": 2}), ("G3", {"s": 1, "r": 0, "d": 0})):
             lat, _ = make_thm73(ctx, fam, params)
             for _ in range(5):
-                while True:
-                    P = PMatrix(ctx, [[rng.randrange(ctx.modulus) for _ in range(3)] for _ in range(3)])
-                    if P.det() % 5 != 0:
-                        break
-                assert iso_test_3dim(lat, lat.change_basis(P)).isomorphic
+                assert iso_test_3dim(lat, lat.change_basis(random_invertible(ctx, 3, rng))).isomorphic
 
     def test_dim_guard(self):
         ctx = PadicContext(5, 6)
@@ -363,40 +319,13 @@ class TestIso:
             assert not iso_test_3dim(a, other).isomorphic
 
 
-def _uncached_invariant(L):
-    """The invariant by the path without a stored slot: eliminated spans, no Lattice helpers."""
-    ctx = L.ctx
-    full = Span(ctx, 3, [[int(i == j) for j in range(3)] for i in range(3)])
-    derived = Span(ctx, 3, [L.bracket(u, v) for u in full.rows for v in full.rows])
-    if derived.is_zero():
-        return ("abelian",)
-    if Span(ctx, 3, [L.bracket(u, v) for u in full.rows for v in derived.rows]).is_zero():
-        assert derived.structural_rank() == 1
-        return ("heisenberg", ctx.precision - derived.size_exp())
-    return ("action", classify(action_matrix_on_abelian_ideal(L, derived)))
-
-
-def _uncached_verdict(inv1, inv2, p):
-    if inv1[0] != inv2[0]:
-        return False
-    if inv1[0] == "action":
-        return descriptors_equal(inv1[1], inv2[1], p)
-    return inv1 == inv2
-
-
 def _grid_versions(p, rng):
     """Every grid member at p, N = 12, and three random unimodular basis changes of each."""
     ctx = PadicContext(p, 12)
     out = []
-    for label, family, params in thm73_grid(ctx):
-        lat, _ = make_thm73(ctx, family, params)
-        out.append((label, lat))
-        for _ in range(3):
-            while True:
-                P = PMatrix(ctx, [[rng.randrange(ctx.modulus) for _ in range(3)] for _ in range(3)])
-                if P.det() % p:
-                    break
-            out.append((label, lat.change_basis(P)))
+    for m in grid(ctx):
+        out.append((m.label, m.lattice))
+        out += [(m.label, m.lattice.change_basis(random_invertible(ctx, 3, rng))) for _ in range(3)]
     return out
 
 
@@ -405,11 +334,11 @@ class TestStoredInvariant:
     def test_stored_invariant_against_uncached_path(self, p):
         versions = _grid_versions(p, random.Random(900 + p))
         lattices = [lat for _, lat in versions]
-        oracle = [_uncached_invariant(lat) for lat in lattices]
+        oracle = [uncached_invariant(lat) for lat in lattices]
         for i, a in enumerate(lattices):
             for j in range(i, len(lattices)):
                 cert = iso_test_3dim(a, lattices[j])
-                assert cert.isomorphic == _uncached_verdict(oracle[i], oracle[j], p)
+                assert cert.isomorphic == uncached_verdict(oracle[i], oracle[j], p)
                 assert cert.isomorphic == (versions[i][0] == versions[j][0])
         for lat, inv in zip(lattices, oracle):
             assert lat.dim3_invariant == inv

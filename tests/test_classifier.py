@@ -5,6 +5,7 @@ import pytest
 
 from padiclie import PadicContext, PMatrix
 from padiclie.classifier import (
+    SimilarityDescriptor,
     canonical_matrix,
     classify,
     descriptors_equal,
@@ -15,6 +16,11 @@ from padiclie.claims import random_invertible
 from padiclie.errors import BadParameter, PrecisionExhausted, ScaleTooLarge
 
 from oracles import brute_force_orbit
+
+
+def entries_mod(A, q):
+    """The entry tuple (a, b, c, d) of a 2 x 2 matrix, reduced mod q."""
+    return tuple(e % q for row in A.entries for e in row)
 
 
 class TestClassify:
@@ -36,21 +42,11 @@ class TestClassify:
         ctx = PadicContext(5, 3)
         A = PMatrix(ctx, [[1, 1], [0, 1]])
         d = classify(A)
-        assert (d.variant, d.s, d.r) == ("scalarplus", 0, 1) or (d.variant, d.s, d.r) == (
-            "tracecore",
-            0,
-            0,
-        )
-        # ((1,1),(0,1)) is scalar mod 5 minus nothing: trace 2 is a unit but
-        # the matrix is scalar mod p^0... the case split: not scalar mod p?
-        # off-diagonal 1 is a unit, so not scalar mod p: case 3 with r = 0.
-        assert d.variant == "tracecore"
+        # the off-diagonal 1 is a unit, so A is not scalar mod p, and its trace 2 is a unit
+        assert (d.variant, d.s, d.r) == ("tracecore", 0, 0)
         # confirm through the brute-force orbit mod 25
         orb = brute_force_orbit(5, 2, (1, 1, 0, 1))
-        cm = canonical_matrix(d, ctx)
-        q = 25
-        cmt = (cm.entries[0][0] % q, cm.entries[0][1] % q, cm.entries[1][0] % q, cm.entries[1][1] % q)
-        assert cmt in orb
+        assert entries_mod(canonical_matrix(d, ctx), 25) in orb
 
     def test_rendering(self):
         ctx = PadicContext(5, 4)
@@ -64,6 +60,20 @@ class TestClassify:
         with pytest.raises(PrecisionExhausted):
             classify(PMatrix(ctx, [[0, 0], [5, 0]]))  # s = 1 >= N - 1
         assert classify(PMatrix(ctx, [[0, 0], [5, 0]]), strict=False).variant == "nilpotent"
+
+    @pytest.mark.parametrize("variant", ["scalarplus", "tracecore", "zerotrace"])
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_valuations_at_the_precision_edge(self, p, variant):
+        # s + r = N - 2 leaves a digit for the class, s + r = N - 1 does not
+        ctx = PadicContext(p, 6)
+        for s, r in ((1, 3), (1, 4), (0, 4), (0, 5)):
+            A = canonical_matrix(SimilarityDescriptor(variant, s=s, r=r, d=1, residue="square"), ctx)
+            if s + r == ctx.precision - 2:
+                d = classify(A)
+                assert (d.variant, d.s, d.r) == (variant, s, r)
+            else:
+                with pytest.raises(PrecisionExhausted):
+                    classify(A)
 
     def test_odd_prime_required(self):
         ctx = PadicContext(2, 4)
@@ -172,14 +182,7 @@ class TestBruteForce:
         for m, r in rep.items():
             d = classify(PMatrix(ctx, [[m[0], m[1]], [m[2], m[3]]]), strict=False)
             by_orbit[r].add(d.key())
-            cm = canonical_matrix(d, ctx)
-            cmt = (
-                cm.entries[0][0] % q,
-                cm.entries[0][1] % q,
-                cm.entries[1][0] % q,
-                cm.entries[1][1] % q,
-            )
-            assert rep[cmt] == r
+            assert rep[entries_mod(canonical_matrix(d, ctx), q)] == r
         assert all(len(v) == 1 for v in by_orbit.values())
         keys = [next(iter(v)) for v in by_orbit.values()]
         assert len(set(keys)) == len(by_orbit)

@@ -1,14 +1,8 @@
-"""The lattice and elimination kernels against plain second routes.
+"""The lattice, elimination, series and group-law kernels against the plain routes in `oracles`.
 
-`Lattice.bracket` and `bracket_span` run over half of the nonzero structure
-constants, `_eliminate` reduces its rows once, `bch_mul` reduces the
-series coefficients once per lattice, and the split-group law reads the
-cached increment M^a - I as binomial combinations of a table of powers of
-M - I.  Each is compared here with a route that does none of that: a dense
-triple loop over `constants`, spans of explicitly bracketed generators, the
-elimination that reduces at every column, the product that reduces every
-term's coefficient separately, and the law (a1 + a2, v1 M^a2 + v2) with M^a2
-by square-and-multiply on plain lists.
+`Lattice.bracket` and `bracket_span` run over half of the nonzero structure constants,
+`_eliminate` reduces its rows once, `bch_mul` reduces the series once per lattice, and the
+split-group law reads cached increments M^a - I; the routes do none of that.
 """
 
 import random
@@ -16,30 +10,16 @@ import random
 import pytest
 
 from padiclie import Lattice, PadicContext, PMatrix, Span
-from padiclie.bch import bch_mul, evaluate_words, free_nilpotent_lattice, hausdorff_table
-from padiclie.catalog import (
-    make_2dim,
-    make_example_dim_p,
-    make_insoluble,
-    make_p2_groups,
-    make_thm73,
-    thm73_grid,
-)
+from padiclie.bch import bch_mul, free_nilpotent_lattice
+from padiclie.catalog import make_2dim, make_example_dim_p, make_insoluble, make_p2_groups, make_thm73
 from padiclie.errors import ClassTooLarge
-from padiclie.linalg import _eliminate, vec_add, vec_scale
-from padiclie.propgroup import TWIST_CACHE_SIZE, GroupElement, SemidirectGroup
+from padiclie.linalg import _eliminate, vec_scale
+from padiclie.propgroup import TWIST_CACHE_SIZE, SemidirectGroup
+
+from oracles import PlainLaw, bch_mul_reducing_every_term, dense_bracket, eliminate_reducing_every_column
+from oracles import grid, heisenberg, random_element
 
 CONTEXTS = [(p, N) for p in (2, 3, 5, 7) for N in (1, 3, 6)]
-
-
-def dense_bracket(L, u, v):
-    mod, d = L.ctx.modulus, L.dim
-    out = [0] * d
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                out[k] += u[i] * v[j] * L.constants[i][j][k]
-    return tuple(e % mod for e in out)
 
 
 def random_unimodular(ctx, n, rng):
@@ -67,7 +47,7 @@ def kernel_pool(ctx, rng):
     """Catalog lattices, free nilpotent lattices and the dim-p lattice, each also basis-changed."""
     p, N = ctx.p, ctx.precision
     pool = [
-        Lattice.from_brackets(ctx, 3, [(0, 1, (0, 0, 1))]),
+        heisenberg(ctx),
         make_thm73(ctx, "G0", {"s": 1})[0],
     ]
     if N > 1:
@@ -135,51 +115,6 @@ def test_bracket_span_matches_bracketed_generators(p, N):
             assert L.bracket_span(S, S2) == reference(S.rows, S2.rows)
 
 
-def eliminate_reducing_every_column(rows, ctx, dim, width):
-    """The elimination before it reduced once: every read of an entry reduces it again."""
-    mod = ctx.modulus
-    N = ctx.precision
-    p = ctx.p
-    active = [list(r) for r in rows if any(e % mod for e in r)]
-    pivot_rows = []
-    zero_rows = []
-    for col in range(dim):
-        best = None
-        bestv = N
-        for r in active:
-            e = r[col] % mod
-            if e:
-                v = ctx.val(e)
-                if v < bestv:
-                    bestv = v
-                    best = r
-                    if v == 0:
-                        break
-        if best is None:
-            continue
-        active.remove(best)
-        v, u = ctx.unit_part(best[col])
-        uinv = ctx.inv(u)
-        row = [(uinv * e) % mod for e in best]
-        piv = p**v
-        for r in active:
-            e = r[col] % mod
-            if e:
-                q = e // piv
-                for k in range(col, width):
-                    r[k] = (r[k] - q * row[k]) % mod
-        if v > 0:
-            c = p ** (N - v)
-            closure = [(c * e) % mod for e in row]
-            if any(closure[k] for k in range(width)):
-                active.append(closure)
-        pivot_rows.append((col, row))
-        active = [r for r in active if any(e % mod for e in r)]
-    for r in active:
-        zero_rows.append([e % mod for e in r])
-    return pivot_rows, zero_rows
-
-
 @pytest.mark.parametrize("p,N", CONTEXTS)
 def test_eliminate_matches_reducing_every_column(p, N):
     ctx = PadicContext(p, N)
@@ -208,16 +143,6 @@ def test_eliminate_matches_reducing_every_column(p, N):
         assert _eliminate(rows, ctx, dim) == eliminate_reducing_every_column(rows, ctx, dim, width)
 
 
-def bch_mul_reducing_every_term(L, u, v):
-    """The product with each nonzero term's coefficient reduced on its own, over the dense bracket."""
-    table = hausdorff_table(max(L.nilpotency_class(), 1))
-    mod = L.ctx.modulus
-    out = (0,) * L.dim
-    for coeff, val in evaluate_words(table.terms, u, v, lambda a, b: dense_bracket(L, a, b)):
-        out = vec_add(out, vec_scale(L.ctx.reduce_fraction(coeff), val, mod), mod)
-    return out
-
-
 @pytest.mark.parametrize("p,N", CONTEXTS)
 def test_bch_mul_matches_reducing_every_term(p, N):
     ctx = PadicContext(p, N)
@@ -234,66 +159,13 @@ def test_bch_mul_matches_reducing_every_term(p, N):
             assert bch_mul(Lattice(ctx, L.constants, L.labels), u, v) == expected  # fresh slots
 
 
-class PlainLaw:
-    """(a1, v1)(a2, v2) = (a1 + a2, v1 M^a2 + v2) with M^a2 by square-and-multiply on lists."""
-
-    def __init__(self, group):
-        self.mod = group.ctx.modulus
-        self.n = group.fiber_dim
-        self.M = [list(row) for row in group.action.entries]
-        self.twists = {}
-
-    def matmul(self, A, B):
-        n, mod = self.n, self.mod
-        return [[sum(A[i][t] * B[t][j] for t in range(n)) % mod for j in range(n)] for i in range(n)]
-
-    def vecmat(self, v, A):
-        return tuple(sum(v[i] * A[i][j] for i in range(self.n)) % self.mod for j in range(self.n))
-
-    def matrix_power(self, A, e):
-        out = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
-        while e:
-            if e & 1:
-                out = self.matmul(out, A)
-            A = self.matmul(A, A)
-            e >>= 1
-        return out
-
-    def twist(self, a):
-        a %= self.mod
-        if a not in self.twists:
-            self.twists[a] = self.matrix_power(self.M, a)
-        return self.twists[a]
-
-    def mul(self, g, h):
-        w = self.vecmat(g.v, self.twist(h.a))
-        return GroupElement((g.a + h.a) % self.mod, tuple((x + y) % self.mod for x, y in zip(w, h.v)))
-
-    def pow(self, g, k):
-        """g^k for k >= 0: square-and-multiply on triples (a, v, M^a), whose product is
-        (a1 + a2, v1 M^a2 + v2, M^a1 M^a2)."""
-        mod = self.mod
-        acc = (0, (0,) * self.n, self.twist(0))
-        base = (g.a % mod, g.v, self.twist(g.a))
-        while k:
-            if k & 1:
-                acc = self.triple(acc, base)
-            base = self.triple(base, base)
-            k >>= 1
-        return GroupElement(acc[0], tuple(x % mod for x in acc[1]))
-
-    def triple(self, x, y):
-        v = tuple((a + b) % self.mod for a, b in zip(self.vecmat(x[1], y[2]), y[1]))
-        return (x[0] + y[0]) % self.mod, v, self.matmul(x[2], y[2])
-
-
 def law_groups():
     """Grid groups at p = 5, 7 (K up to 24), the dimension-p group (n = 4, K = 48),
     the six p = 2 groups and a trivial action (K = 1), all at N = 12."""
     groups = []
     for p in (5, 7):
         ctx = PadicContext(p, 12)
-        groups += [make_thm73(ctx, fam, params)[1] for _, fam, params in thm73_grid(ctx, (0, 1), (0, 1))]
+        groups += [m.group for m in grid(ctx, (0, 1), (0, 1))]
     groups.append(make_example_dim_p(PadicContext(5, 12))[0])
     ctx2 = PadicContext(2, 12)
     groups += [make_p2_groups(ctx2, sign, s) for sign in "+-" for s in (2, 3, None)]
@@ -326,6 +198,22 @@ def test_group_law_matches_square_and_multiply():
                 assert g.pow(x, n) == law.pow(x, n), (g.action, x, n)
             else:
                 assert law.mul(g.pow(x, n), law.pow(x, -n)) == e
+    rng = random.Random(17)  # powers in a G3 group and the dimension-p group
+    g3 = make_thm73(PadicContext(5, 8), "G3", {"s": 1, "r": 0, "d": 1})[1]
+    for g in (g3, make_example_dim_p(PadicContext(5, 4))[0]):
+        law, x = PlainLaw(g), random_element(g, rng)
+        for n in [0, 1, 2, 3, 7, 8, 100, 12345] + [rng.randrange(g.ctx.modulus) for _ in range(10)]:
+            assert g.pow(x, n) == law.pow(x, n), n
+    rng = random.Random(21)  # twists by M = I + E, E strictly upper triangular plus p * noise, n <= p
+    for p, N, n in ((5, 6, 3), (3, 5, 3), (2, 6, 2), (7, 4, 4)):
+        ctx = PadicContext(p, N)
+        for _ in range(5):
+            E = PMatrix(ctx, [[rng.randrange(ctx.modulus) * (1 if j > i else p) for j in range(n)] for i in range(n)])
+            g = SemidirectGroup(ctx, PMatrix.identity(ctx, n) + E)
+            assert len(g._powers) <= n * N and (g._powers[-1] @ E).is_zero()
+            law = PlainLaw(g)
+            for a in [0, 1, 2, p, p**N - 1] + [rng.randrange(ctx.modulus) for _ in range(5)]:
+                assert g.twist(a).entries == law.twist(a), (p, a)
 
 
 def test_evicted_increment_is_recomputed_right():

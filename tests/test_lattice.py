@@ -4,14 +4,7 @@ import pytest
 
 from padiclie import Lattice, PadicContext, Span, lattice
 from padiclie.bch import free_nilpotent_lattice
-from padiclie.catalog import (
-    make_2dim,
-    make_example_dim_p,
-    make_insoluble,
-    make_levi_example,
-    make_thm73,
-    thm73_grid,
-)
+from padiclie.catalog import make_2dim, make_example_dim_p, make_insoluble, make_levi_example
 from padiclie.claims import random_invertible
 from padiclie.errors import (
     AntisymmetryViolated,
@@ -22,15 +15,7 @@ from padiclie.errors import (
 )
 from padiclie.linalg import fixpoint
 
-from oracles import direct_sum
-
-
-def heisenberg(ctx):
-    return Lattice.from_brackets(ctx, 3, [(0, 1, (0, 0, 1))], ("x", "y", "z"))
-
-
-def abelian(ctx, d):
-    return Lattice.from_brackets(ctx, d, [])
+from oracles import abelian, direct_sum, filiform, grid, heisenberg
 
 
 class TestValidation:
@@ -182,56 +167,22 @@ class TestPotency:
         ]
         return lattice.PotencyReport(steps, terms[-1].is_zero())
 
-    def test_reused_bracket_matches_reference(self):
-        ctx = PadicContext(5, 6)
-        pool = [make_thm73(ctx, fam, params)[0] for _, fam, params in thm73_grid(ctx)]
-        pool.append(make_example_dim_p(PadicContext(5, 4))[1])
-        # filiform of class p = 3: [e1, e2] = e3, [e1, e3] = e4; the chain L > 0 fails both
-        # tests, and [L,_2 L] = <e4> is nonzero while [L,_3 L] = 0
-        ctx3 = PadicContext(3, 4)
-        constants = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-        for i, k in ((1, 2), (2, 3)):
-            constants[0][i][k], constants[i][0][k] = 1, ctx3.modulus - 1
-        filiform = Lattice(ctx3, constants)
-        crooked = lattice.Filtration([filiform.full_span(), Span.zero(ctx3, 4)])
-        cases = [(L, L.lower_p_series()) for L in pool] + [(filiform, crooked)]
-        for L, filtration in cases:
-            assert L.verify_potent_filtration(filtration) == self.reference_report(L, filtration)
-        step = filiform.verify_potent_filtration(crooked).steps[0]
-        assert not step.step_ok and not step.deep_ok
-        assert not pool[-1].verify_potent_filtration(pool[-1].lower_p_series()).passed
-
-    @staticmethod
-    def fresh_bracket_report(L, filtration):
-        """The certificate with a fresh bracket_span and iterated_bracket_span at every step."""
-        p = L.ctx.p
-        terms = filtration.terms
-        full = L.full_span()
-        steps = []
-        for i in range(len(terms) - 1):
-            bracket = L.bracket_span(terms[i], full)
-            deep = L.iterated_bracket_span(bracket, p - 2)
-            steps.append(
-                lattice.PotencyStep(i + 1, terms[i + 1].contains(bracket), terms[i + 1].scale(p).contains(deep))
-            )
-        return lattice.PotencyReport(steps, terms[-1].is_zero())
-
     @pytest.mark.parametrize("p", [5, 7])
     def test_shared_brackets_match_fresh_brackets(self, p, monkeypatch):
         pool = []
         for N in (4, 8):
             ctx = PadicContext(p, N)
-            pool += [make_thm73(ctx, fam, params)[0] for _, fam, params in thm73_grid(ctx)]
+            pool += [m.lattice for m in grid(ctx)]
             pool += [make_insoluble(ctx, which) for which in ("sl2tri", "sl1delta")]
             pool.append(make_example_dim_p(ctx)[1])
             pool += [make_levi_example(ctx, k) for k in (2, 3) if N >= 2 * k + 2]
         cases = [(L, F) for L in pool for F in (L.lower_p_series(), lattice.Filtration(L.lower_central()))]
-        ctx3 = PadicContext(3, 4)  # the crooked filiform chain of the test above
-        constants = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-        for i, k in ((1, 2), (2, 3)):
-            constants[0][i][k], constants[i][0][k] = 1, ctx3.modulus - 1
-        filiform = Lattice(ctx3, constants)
-        cases.append((filiform, lattice.Filtration([filiform.full_span(), Span.zero(ctx3, 4)])))
+        if p == 5:
+            cases += [(m.lattice, m.lattice.lower_p_series()) for m in grid(PadicContext(5, 6))]
+        # filiform of class p = 3: the chain L > 0 fails both tests, and [L,_2 L] = <e4> is
+        # nonzero while [L,_3 L] = 0
+        crooked = filiform(PadicContext(3, 4), 4)
+        cases.append((crooked, lattice.Filtration([crooked.full_span(), Span.zero(crooked.ctx, 4)])))
 
         bracketed = []
         bracket_span = Lattice.bracket_span
@@ -241,9 +192,13 @@ class TestPotency:
             bracketed.clear()
             report = L.verify_potent_filtration(filtration)
             assert len(bracketed) == len(set(bracketed))  # each span with L once per call
-            assert report == self.fresh_bracket_report(L, filtration), L
+            assert report == self.reference_report(L, filtration), L
             outcomes.add(report.passed)
         assert outcomes == {True, False}
+        step = crooked.verify_potent_filtration(cases[-1][1]).steps[0]
+        assert not step.step_ok and not step.deep_ok
+        dim_p = make_example_dim_p(PadicContext(p, 4))[1]
+        assert not dim_p.verify_potent_filtration(dim_p.lower_p_series()).passed
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_saturable_sufficient_matches_double_bracket(self, p):
@@ -253,15 +208,16 @@ class TestPotency:
             phi = full.scale(p).sum(L.bracket_span(full, full))
             return phi.scale(p).contains(L.iterated_bracket_span(full, p - 1))
 
-        grid, others = [], []
+        saturable, others = [], []
         for N in (4, 8):
             ctx = PadicContext(p, N)
-            grid += [make_thm73(ctx, fam, params)[0] for _, fam, params in thm73_grid(ctx)]
+            # filiform of dimension p: gamma_p = 0, but gamma_(p-1) is not in p(pL + [L, L])
+            saturable += [m.lattice for m in grid(ctx)] + [filiform(ctx, p)]
             others += [make_insoluble(ctx, which) for which in ("sl2tri", "sl1delta")]
             others.append(make_example_dim_p(ctx)[1])
-        for L in grid + others:
+        for L in saturable + others:
             assert L.saturable_sufficient() == reference(L)
-        assert all(L.saturable_sufficient() for L in grid)
+        assert all(L.saturable_sufficient() for L in saturable)
         assert not others[-1].saturable_sufficient()  # dimension p
 
     def test_construction_invariant(self):
@@ -384,8 +340,13 @@ class TestRadical:
 
     def test_direct_sum_block(self):
         ctx = PadicContext(5, 6)
-        mix = direct_sum(make_insoluble(ctx, "sl2tri"), make_2dim(ctx, 1)[0])
+        first, second = make_insoluble(ctx, "sl2tri"), make_2dim(ctx, 1)[0]
+        mix = direct_sum(first, second)
         assert mix.soluble_radical() == Span(ctx, 5, [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
+        # the summands' constants on the diagonal blocks, and zero across them
+        blocks = [[c + (0, 0) for c in row] + [(0,) * 5] * 2 for row in first.constants]
+        blocks += [[(0,) * 5] * 3 + [(0, 0, 0) + c for c in row] for row in second.constants]
+        assert [list(row) for row in mix.constants] == blocks
 
 
 class TestBasisChange:
@@ -429,7 +390,7 @@ def test_serialization_round_trip():
     for p in (5, 7):
         ctx = PadicContext(p, 6)
         pool = [heisenberg(ctx), make_example_dim_p(ctx)[1], make_levi_example(ctx, 2)]
-        pool += [make_thm73(ctx, fam, params)[0] for _, fam, params in thm73_grid(ctx)]
+        pool += [m.lattice for m in grid(ctx)]
         pool += [make_2dim(ctx, s)[0] for s in (1, 2, 3)]
         pool += [make_insoluble(ctx, which) for which in ("sl2tri", "sl1delta")]
         pool += [free_nilpotent_lattice(ctx, c) for c in (1, 2, 3, 4)]

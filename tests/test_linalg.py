@@ -24,6 +24,8 @@ from padiclie.linalg import (
     solve_over_rows,
 )
 
+from oracles import degree_by_plain_powers, gauss_jordan_inverse
+
 
 def ctx5(n=4):
     return PadicContext(5, n)
@@ -42,37 +44,6 @@ def random_square_zero(ctx, rng):
         sq = A @ A
         if all(e % ctx.p == 0 for row in sq.entries for e in row):
             return A
-
-
-def gauss_jordan_inverse(A):
-    """A^-1 by Gauss-Jordan elimination on unit pivots, a route apart from `_eliminate`."""
-    ctx, n = A.ctx, A.rows
-    mod, p = ctx.modulus, ctx.p
-    work = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(A.entries)]
-    for j in range(n):
-        piv = next((i for i in range(j, n) if work[i][j] % p != 0), None)
-        if piv is None:
-            raise NotAUnit("matrix is not invertible at this precision")
-        work[j], work[piv] = work[piv], work[j]
-        inv = pow(work[j][j], -1, mod)
-        work[j] = [(inv * e) % mod for e in work[j]]
-        for i in range(n):
-            if i != j and work[i][j]:
-                c = work[i][j]
-                work[i] = [(e - c * f) % mod for e, f in zip(work[i], work[j])]
-    return PMatrix(ctx, [row[n:] for row in work])
-
-
-def degree_by_plain_powers(A):
-    """Least k <= n with A^k = 0 mod p, or None, by products of residues mod p."""
-    p, n = A.ctx.p, A.rows
-    B = [[e % p for e in row] for row in A.entries]
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        power = [[sum(power[i][t] * B[t][j] for t in range(n)) % p for j in range(n)] for i in range(n)]
-        if not any(map(any, power)):
-            return k
-    return None
 
 
 class TestSpan:
@@ -234,10 +205,7 @@ class TestSpan:
         for _ in range(40):
             d = rng.randrange(1, 5)
             # generators scaled by random powers of p, so pivots of positive valuation appear
-            gens = [
-                [p ** rng.randrange(n + 1) * rng.randrange(mod) % mod for _ in range(d)]
-                for _ in range(rng.randrange(d + 2))
-            ]
+            gens = self.random_gens(ctx, d, rng, rng.randrange(d + 2))
             s = Span(ctx, d, gens)
             for _ in range(5):
                 v = tuple(rng.randrange(mod) for _ in range(d))

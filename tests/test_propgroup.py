@@ -1,18 +1,11 @@
 import random
-from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
 
 from padiclie import PadicContext, PMatrix, Span, mat_exp, mat_log, mat_pow_padic
 from padiclie.bch import lie_from_matrix_group
-from padiclie.catalog import (
-    make_example_dim_p,
-    make_p2_groups,
-    make_thm73,
-    thm73_fiber_matrix,
-    thm73_grid,
-)
+from padiclie.catalog import make_example_dim_p, make_p2_groups, make_thm73, thm73_fiber_matrix
 from padiclie.classifier import classify, descriptors_equal
 from padiclie.errors import NotNormal, NotProP
 from padiclie.lattice import PotencyReport, PotencyStep
@@ -22,6 +15,7 @@ from padiclie.propgroup import (
     GammaPhiReport,
     GroupElement,
     SemidirectGroup,
+    SubgroupData,
     check_gamma_p_in_phi_p,
     commutator_subgroup,
     frattini_p,
@@ -36,7 +30,16 @@ from padiclie.propgroup import (
     verify_group_potent_filtration,
 )
 
-from oracles import index_exp_in_group
+from oracles import (
+    conj_loop_is_normal,
+    fixpoint_normal_closure,
+    fixpoint_routes,
+    fixpoint_twist_closure,
+    generator_commutator_subgroup,
+    grid,
+    index_exp_in_group,
+    random_element,
+)
 
 
 def abelian_group(ctx):
@@ -51,10 +54,6 @@ def heisenberg_group(ctx, s=0):
 def example42(ctx):
     group, _ = make_example_dim_p(ctx)
     return group
-
-
-def random_element(g, rng):
-    return g.element(rng.randrange(g.ctx.modulus), [rng.randrange(g.ctx.modulus) for _ in range(g.fiber_dim)])
 
 
 class TestGroupLaw:
@@ -170,25 +169,6 @@ class TestFastPaths:
             for a in [0, 1, -1, -7] + [rng.randrange(g.ctx.modulus) for _ in range(20)]:
                 assert g.twist(a) == g.action.pow(a) == mat_pow_padic(g.action, a), a
 
-    def test_twist_against_square_and_multiply(self):
-        # seeded nilpotent-mod-p E with n <= p, so that M = I + E has M^(p^N) = I
-        rng = random.Random(21)
-        for p, N, n in ((5, 6, 3), (3, 5, 3), (2, 6, 2), (7, 4, 4)):
-            ctx = PadicContext(p, N)
-            for _ in range(5):
-                # nilpotent mod p: strictly upper triangular plus p * noise
-                rows = [
-                    [rng.randrange(ctx.modulus) * (1 if j > i else p) for j in range(n)]
-                    for i in range(n)
-                ]
-                E = PMatrix(ctx, rows)
-                M = PMatrix.identity(ctx, n) + E
-                g = SemidirectGroup(ctx, M)
-                assert len(g._powers) <= n * N
-                assert (g._powers[-1] @ E).is_zero()
-                for a in [0, 1, 2, p, p**N - 1] + [rng.randrange(ctx.modulus) for _ in range(5)]:
-                    assert g.twist(a) == M.pow(a), (p, a)
-
     def test_twist_miss_makes_no_matmul(self, monkeypatch):
         groups = self.groups()  # the tables of E^j are built here
         calls = []
@@ -226,20 +206,6 @@ class TestFastPaths:
                 g.pow(g.element(a + 2, x.v), rng.randrange(g.ctx.modulus))
         assert built == []
 
-    def test_pow_against_square_and_multiply(self):
-        rng = random.Random(17)
-        for g in self.groups():
-            x = random_element(g, rng)
-            uniform = [rng.randrange(g.ctx.modulus) for _ in range(10)]
-            for n in [0, 1, 2, 3, 7, 8, 100, 12345] + uniform:
-                acc, base, k = g.identity_element(), x, n
-                while k:
-                    if k & 1:
-                        acc = g.mul(acc, base)
-                    base = g.mul(base, base)
-                    k >>= 1
-                assert g.pow(x, n) == acc, n
-
     def test_twist_cache_is_bounded(self):
         rng = random.Random(18)
         for g in self.groups():
@@ -265,78 +231,30 @@ class TestFastPaths:
                 assert V.fiber == fixpoint_twist_closure(g, S, V.witness.a), V
 
 
-# ---------------------------------------------------------------------------
-# the fixed-point routes that the closed forms in propgroup replaced, kept as
-# oracles: generator commutators, a normal-closure loop and a T/T^-1 closure loop
-# ---------------------------------------------------------------------------
-
-
-def fixpoint_twist_closure(group, S, a):
-    """Closure of a fiber span under M^a and M^-a, iterated to a fixed point."""
-    T = group.twist(a)
-    Ti = T.inverse()
-    while True:
-        nxt = S.sum(S.image(T)).sum(S.image(Ti))
-        if nxt == S:
-            return S
-        S = nxt
-
-
-def fixpoint_normal_closure(U):
-    """Closure of U under conjugation by the standard generators and their inverses."""
-    group = U.group
-    std = group.standard_generators()
-    std += [group.inv(h) for h in std]
-    while True:
-        gens = U.generators()
-        nxt = generated_subgroup(group, gens + [group.conj(g, h) for g in gens for h in std])
-        if nxt == U:
-            return U
-        U = nxt
-
-
-def generator_commutator_subgroup(U):
-    """[U, G]: the normal closure of the commutators of U's and G's generators."""
-    group = U.group
-    comms = [group.comm(u, h) for u in U.generators() for h in group.standard_generators()]
-    return fixpoint_normal_closure(generated_subgroup(group, comms))
-
-
 def fresh(U):
     """A new object with U's key and empty `commutator`/`power` slots: the closed forms run anew."""
-    return propgroup.SubgroupData(U.group, U.witness, U.fiber)
-
-
-def conj_loop_is_normal(U):
-    """Normality of U by conjugating its generators with the standard generators."""
-    group = U.group
-    return all(
-        U.contains_element(group.conj(u, h)) for u in U.generators() for h in group.standard_generators()
-    )
-
-
-@contextmanager
-def fixpoint_routes():
-    """Inside this context every split-form subgroup is closed by the fixed-point loop."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propgroup, "_twist_closure", fixpoint_twist_closure)
-        yield
+    return SubgroupData(U.group, U.witness, U.fiber)
 
 
 ORACLE_GROUPS = ("grid", "dim-p", "p2")
 
 
 @lru_cache(maxsize=None)
-def oracle_groups(which):
-    """The Theorem-7.3 grid at p = 5, N = 8; the dimension-p group at p = 5, N = 4;
-    the six p = 2 groups at N = 8."""
+def oracle_actions(which):
+    """(context, action entries) of the Theorem-7.3 grid at p = 5, N = 8; of the dimension-p
+    group at p = 5, N = 4; of the six p = 2 groups at N = 8."""
     if which == "grid":
-        ctx = PadicContext(5, 8)
-        return [make_thm73(ctx, fam, params)[1] for _, fam, params in thm73_grid(ctx, (0, 1), (0, 1))]
-    if which == "dim-p":
-        return [example42(PadicContext(5, 4))]
-    ctx = PadicContext(2, 8)
-    return [make_p2_groups(ctx, sign, s) for sign in "+-" for s in (2, 3, 4)]
+        groups = [m.group for m in grid(PadicContext(5, 8), (0, 1), (0, 1))]
+    elif which == "dim-p":
+        groups = [example42(PadicContext(5, 4))]
+    else:
+        groups = [make_p2_groups(PadicContext(2, 8), sign, s) for sign in "+-" for s in (2, 3, 4)]
+    return tuple((g.ctx, tuple(map(tuple, g.action.entries))) for g in groups)
+
+
+def oracle_groups(which):
+    """New group objects, so that no test sees a cache or a slot another test filled."""
+    return [SemidirectGroup(ctx, PMatrix(ctx, action)) for ctx, action in oracle_actions(which)]
 
 
 def sample_subgroups(g, rng):
@@ -360,17 +278,23 @@ def sample_subgroups(g, rng):
 
 
 @lru_cache(maxsize=None)
-def oracle_cases(which):
-    """(group, subgroup, [U, G], U^G) with every entry built by the fixed-point routes."""
+def oracle_keys(which):
+    """(group index, then the (witness, fiber) keys of U, [U, G] and U^G), all three built by
+    the fixed-point routes."""
     rng = random.Random(ORACLE_GROUPS.index(which))
-    cases = []
+    keys = []
     with fixpoint_routes():
-        for g in oracle_groups(which):
+        for i, g in enumerate(oracle_groups(which)):
             for U in sample_subgroups(g, rng):
-                comm = generator_commutator_subgroup(U)
-                closure = fixpoint_normal_closure(U)
-                cases.append((g, U, comm, closure))
-    return cases
+                cases = (U, generator_commutator_subgroup(U), fixpoint_normal_closure(U))
+                keys.append((i, *((X.witness, X.fiber) for X in cases)))
+    return tuple(keys)
+
+
+def oracle_cases(which):
+    """(group, subgroup, [U, G], U^G) as new objects built from the stored keys."""
+    groups = oracle_groups(which)
+    return [(groups[i], *(SubgroupData(groups[i], *key) for key in keys)) for i, *keys in oracle_keys(which)]
 
 
 def oracle_subgroups(which):
@@ -389,7 +313,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("which", ORACLE_GROUPS)
     def test_commutator_subgroup_matches_generator_commutators(self, which):
         for g, U, comm, _ in oracle_cases(which):
-            got = commutator_subgroup(fresh(U))
+            got = commutator_subgroup(U)
             assert got.witness is None
             assert got == comm, U
 
@@ -397,7 +321,7 @@ class TestClosedForms:
     def test_normal_closure_matches_fixpoint(self, which):
         moved = 0
         for g, U, _, closure in oracle_cases(which):
-            assert normal_closure(fresh(U)) == closure, U
+            assert normal_closure(U) == closure, U
             moved += U != closure
         assert moved  # the sample holds subgroups that are not normal
 
@@ -470,7 +394,7 @@ class TestClosedForms:
         monkeypatch.setattr(propgroup, "fixpoint", counted)
         for which in ORACLE_GROUPS:
             for g, U, _, _ in oracle_cases(which)[:20]:
-                commutator_subgroup(fresh(U))  # fresh: other tests may have filled U's slots
+                commutator_subgroup(U)
                 normal_closure(fresh(U))
                 if U.witness is not None:
                     propgroup._twist_closure(g, U.fiber, U.witness.a)
@@ -532,6 +456,8 @@ class TestCanonicalForm:
             assert generated_subgroup(g, gens) == V, V
 
     def test_only_generated_subgroup_closes_under_the_twist(self, monkeypatch):
+        pairs = oracle_subgroups("dim-p")  # built before the counters: the fixed-point routes conjugate
+        verdict_groups = oracle_groups("grid")[:1] + oracle_groups("dim-p")
         closures, containments, conjugations = [], [], []
         twist_closure = propgroup._twist_closure
         contains_element = propgroup.SubgroupData.contains_element
@@ -545,7 +471,6 @@ class TestCanonicalForm:
             lambda *a: containments.append(a) or contains_element(*a),
         )
         monkeypatch.setattr(SemidirectGroup, "conj", lambda *a: conjugations.append(a) or conj(*a))
-        pairs = oracle_subgroups("dim-p")
         for g, V in pairs:
             propgroup.SubgroupData(g, V.witness, V.fiber)
             normal_closure(fresh(V))  # fresh objects, so the closed forms run with empty slots
@@ -555,8 +480,7 @@ class TestCanonicalForm:
                 _ = V == W
         assert closures == [] and containments == []
         # a full group verdict, as the saturability check makes it: no closure, no conjugation
-        for g in (oracle_groups("grid")[0], oracle_groups("dim-p")[0]):
-            g = SemidirectGroup(g.ctx, g.action)  # no stored G and no filled slot from other tests
+        for g in verdict_groups:
             check_gamma_p_in_phi_p(g)
             verify_group_potent_filtration(g, lower_p_series_group(g))
         assert closures == [] and conjugations == []
@@ -670,21 +594,23 @@ class TestSubgroups:
         assert phi.contains_element(g.comm(x, y))
 
     def test_power_subgroup_closed_form_matches_brute_force(self):
-        # fiber of <h^p> must contain every sampled p-th power and be spanned
-        # by them
+        # <h^p> must contain every sampled p-th power and be generated by them
         ctx = PadicContext(5, 3)
         g = example42(ctx)
         U = full_subgroup(g)
         P = power_subgroup(U)
         rng = random.Random(5)
         seen = Span(ctx, g.fiber_dim, [])
+        powers = []
         for _ in range(200):
             u = random_element(g, rng)
             up = g.pow(u, ctx.p)
+            powers.append(up)
             assert P.contains_element(up)
             if up.a % ctx.modulus == 0:
                 seen = seen.sum(Span(ctx, g.fiber_dim, [up.v]))
         assert P.fiber_intersection().contains(seen)
+        assert generated_subgroup(g, powers) == P
 
 
 class TestSaturabilityChecks:
@@ -777,7 +703,6 @@ class TestSaturabilityChecks:
         gamma_series = propgroup.gamma_series
         monkeypatch.setattr(propgroup, "gamma_series", lambda g: built["gamma_series"].append(g) or gamma_series(g))
         for g in oracle_groups("grid") + oracle_groups("dim-p"):
-            g = SemidirectGroup(g.ctx, g.action)  # no stored G and no filled slot from other tests
             for objects in built.values():
                 objects.clear()
             chain = lower_p_series_group(g)
@@ -802,9 +727,8 @@ class TestSaturabilityChecks:
     def test_group_lattice_consistency(self):
         # the two sides of the saturability check agree on catalog pairs
         ctx = PadicContext(5, 8)
-        for name, fam, params in thm73_grid(ctx, (0, 1), (0, 1), (0, 1)):
-            lat, grp = make_thm73(ctx, fam, params)
-            assert lat.saturable_sufficient() == check_gamma_p_in_phi_p(grp).holds
+        for m in grid(ctx, (0, 1), (0, 1), (0, 1)):
+            assert m.lattice.saturable_sufficient() == check_gamma_p_in_phi_p(m.group).holds
         ctx4 = PadicContext(5, 4)
         grp, lat = make_example_dim_p(ctx4)
         assert lat.saturable_sufficient() == check_gamma_p_in_phi_p(grp).holds == False
