@@ -238,18 +238,13 @@ def free_nilpotent_lattice(ctx, nil_class: int) -> Lattice:
 # ---------------------------------------------------------------------------
 
 def nilpotency_class_checked(L: Lattice) -> int:
-    """Nilpotency class at precision, raising ClassTooLarge when >= p.
+    """Nilpotency class at precision, raising ClassTooLarge when >= p or not nilpotent.
 
-    The class is computed once per lattice and kept on it in `L.bch_class`,
-    beside the terms of its Hausdorff table reduced mod p^N in `L.bch_terms`.
+    The class is read off the lattice's stored lower central series; the terms
+    of its Hausdorff table reduced mod p^N are kept on it in `L.bch_terms`.
     """
-    c = L.bch_class
-    if c is None:
-        c = L.nilpotency_class()
-        if c is None:
-            c = L.ctx.precision * L.dim + 1  # sentinel: not nilpotent at precision
-        L.bch_class = c
-    if c >= L.ctx.p:
+    c = L.nilpotency_class()
+    if c is None or c >= L.ctx.p:
         raise ClassTooLarge(
             f"nilpotency class at precision is not below p = {L.ctx.p}; "
             "the series has p-divisible denominators here"
@@ -286,9 +281,12 @@ def evaluate_words(terms, u, v, bracket):
 
 def bch_mul(L: Lattice, u, v):
     """Group product on the lattice through the Hausdorff series."""
-    nilpotency_class_checked(L)
+    terms = L.bch_terms
+    if terms is None:  # the class is checked once, when the terms are first set
+        nilpotency_class_checked(L)
+        terms = L.bch_terms
     out = [0] * L.dim
-    for coeff, val in evaluate_words(L.bch_terms, u, v, L.bracket):
+    for coeff, val in evaluate_words(terms, u, v, L.bracket):
         out = [o + coeff * x for o, x in zip(out, val)]
     mod = L.ctx.modulus
     return tuple(o % mod for o in out)

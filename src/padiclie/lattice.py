@@ -10,11 +10,25 @@ antisymmetric and nonzero.
 Series computations stop at stabilisation-at-precision, and every "zero"
 below means zero mod p^N: the ring cannot distinguish 0 from p^N.  Reports
 carry the precision through the context they reference.
+
+The saturability verdicts are read off the lower central series gamma_1 = L,
+gamma_(j+1) = [gamma_j, L], kept on the lattice.  Past the end of the stored
+series gamma_j means its last term, which is zero or stable under [., L].
+The bracket is bilinear, so for spans [S + T, L] = [S, L] + [T, L] and
+[pS, L] = p[S, L]; inducting on i with these gives
+- the lower p-series, N_1 = L, N_(i+1) = p N_i + [N_i, L]:
+  N_i = sum_(j<=i) p^(i-j) gamma_j, so [N_i, L] = sum_(j<=i) p^(i-j) gamma_(j+1),
+  whose terms with j < i are terms of p N_i = sum_(j<=i) p^(i+1-j) gamma_j;
+  hence N_(i+1) = p N_i + gamma_(i+1);
+- the potency chain D_i = [N_i,_(p-1) L]: D_1 = [L,_(p-1) L] = gamma_p, and
+  D_i = [p N_(i-1) + gamma_i,_(p-1) L] = p D_(i-1) + gamma_(p+i-1);
+- the sufficient condition [L,_(p-1) L] <= p(pL + [L, L]): its sides are
+  gamma_p and p N_2 = p(pL + gamma_2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     AntisymmetryViolated,
@@ -42,13 +56,13 @@ class Lattice:
     checks antisymmetry and the Jacobi identity on all basis triples.
     """
 
-    __slots__ = ("ctx", "dim", "labels", "constants", "_sparse", "bch_class", "bch_terms", "dim3_invariant")
+    __slots__ = ("ctx", "dim", "labels", "constants", "_sparse", "bch_terms", "dim3_invariant", "gammas")
 
     def __init__(self, ctx: PadicContext, constants, labels=None, validate=True):
         self.ctx = ctx
-        self.bch_class: int | None = None  # set by bch.nilpotency_class_checked
-        self.bch_terms: tuple | None = None  # set with it: the series terms reduced mod p^N
+        self.bch_terms: tuple | None = None  # set by bch.nilpotency_class_checked: the series terms mod p^N
         self.dim3_invariant: tuple | None = None  # set by catalog.dim3_invariant
+        self.gammas: tuple | None = None  # the lower central series on first use: at most N d + 1 spans
         self.dim = d = len(constants)
         mod = ctx.modulus
         zero = (0,) * d
@@ -159,16 +173,38 @@ class Lattice:
         return self._fixpoint(lambda S: S if S.is_zero() else step(S), start)
 
     def lower_central(self) -> list[Span]:
-        """gamma_1 = L, gamma_{i+1} = [gamma_i, L], to stabilisation."""
-        full = self.full_span()
-        return self._series(lambda S: self.bracket_span(S, full))
+        """gamma_1 = L, gamma_{i+1} = [gamma_i, L], to stabilisation (a fresh list of the stored terms)."""
+        return list(self._gammas())
+
+    def _gammas(self) -> tuple:
+        """The lower central series, computed once per lattice and kept in `gammas`."""
+        if self.gammas is None:
+            full = self.full_span()
+            self.gammas = tuple(self._series(lambda S: self.bracket_span(S, full)))
+        return self.gammas
+
+    def _gamma(self, j: int) -> Span:
+        """gamma_j, read as the last stored term past the end of the series."""
+        gammas = self._gammas()
+        return gammas[min(j, len(gammas)) - 1]
 
     def lower_p_series(self) -> "Filtration":
-        """L_1 = L, L_{i+1} = p L_i + [L_i, L], to stabilisation."""
-        full = self.full_span()
+        """L_1 = L, L_{i+1} = p L_i + [L_i, L] = p L_i + gamma_{i+1}, to stabilisation.
+
+        The filtration keeps the lattice and each (L_i, p L_i) it built, for
+        `verify_potent_filtration`.
+        """
         p = self.ctx.p
-        terms = self._series(lambda S: S.scale(p).sum(self.bracket_span(S, full)))
-        return Filtration(terms)
+        scaled = []
+
+        def step(S):
+            scaled.append(S.scale(p))
+            return scaled[-1].sum(self._gamma(len(scaled) + 1))
+
+        terms = self._series(step)
+        if len(scaled) < len(terms):  # a zero last term is never stepped, and p 0 = 0
+            scaled.append(terms[-1])
+        return Filtration(terms, self, tuple(zip(terms, scaled)))
 
     def derived_series(self) -> list[Span]:
         """D_1 = L, D_{i+1} = [D_i, D_i], to stabilisation."""
@@ -188,10 +224,8 @@ class Lattice:
 
     def nilpotency_class(self) -> int | None:
         """Class at precision, or None when the lower central series is nonzero stable."""
-        terms = self.lower_central()
-        if not terms[-1].is_zero():
-            return None
-        return len(terms) - 1
+        gammas = self._gammas()
+        return len(gammas) - 1 if gammas[-1].is_zero() else None
 
     def iterated_bracket_span(self, S: Span, k: int) -> Span:
         """[S,_k L] with L appearing k times."""
@@ -208,11 +242,20 @@ class Lattice:
 
         Checks [N_i, L] <= N_{i+1} and [N_i,_{p-1} L] <= p N_{i+1} for each
         step, and that the last term is zero at precision.  Only certifies
-        the given chain; it does not search for filtrations.  Each distinct
-        span is bracketed with L once per call, so [N_i, L] and the chains
-        [N_i,_k L] share the spans they have in common.
+        the given chain; it does not search for filtrations.
+
+        Two routes give the same report.  When the chain is this lattice's
+        own `lower_p_series` with its terms unchanged, the first inclusion
+        holds by construction and the chain is D_i = p D_(i-1) + gamma_(p+i-1)
+        (module docstring), checked against the p N_(i+1) the series built;
+        no bracket is taken.  Any other chain, a user's own or an altered one,
+        is bracketed: each distinct span with L once per call, so [N_i, L] and
+        the chains [N_i,_k L] share the spans they have in common.
         """
         self.ctx.require_odd()
+        built = filtration.scaled
+        if filtration.lattice is self and built is not None and [n for n, _ in built] == filtration.terms:
+            return self._lower_p_report(built)
         p = self.ctx.p
         steps = []
         terms = filtration.terms
@@ -235,15 +278,26 @@ class Lattice:
         terminal_ok = terms[-1].is_zero()
         return PotencyReport(steps, terminal_ok)
 
+    def _lower_p_report(self, built) -> "PotencyReport":
+        """The certificate of the lower p-series from its (N_i, p N_i) and the gamma_j."""
+        p = self.ctx.p
+        steps = []
+        deep = self._gamma(p)  # D_1 = [L,_{p-1} L]
+        for i in range(1, len(built)):
+            if i > 1 and not deep.is_zero():  # once zero, D stays zero: gamma_(p+i-1) <= D_(i-1)
+                deep = deep.scale(p).sum(self._gamma(p + i - 1))
+            steps.append(PotencyStep(i, True, built[i][1].contains(deep)))
+        return PotencyReport(steps, built[-1][0].is_zero())
+
     def saturable_sufficient(self) -> bool:
-        """[L,_{p-1} L] <= p(pL + [L,L]): a sufficient condition for saturability."""
+        """[L,_{p-1} L] <= p(pL + [L,L]): a sufficient condition for saturability.
+
+        The two sides are gamma_p and p(pL + gamma_2), from the stored series.
+        """
         self.ctx.require_odd()
         p = self.ctx.p
-        full = self.full_span()
-        derived = self.bracket_span(full, full)
-        gamma_p = self.iterated_bracket_span(derived, p - 2)
-        phi = full.scale(p).sum(derived)
-        return phi.scale(p).contains(gamma_p)
+        phi = self.full_span().scale(p).sum(self._gamma(2))
+        return phi.scale(p).contains(self._gamma(p))
 
     # -- centralisers, isolators, radical -----------------------------------
 
@@ -374,9 +428,15 @@ class Lattice:
 
 @dataclass
 class Filtration:
-    """A descending chain of canonical spans inside a lattice."""
+    """A descending chain of canonical spans inside a lattice.
+
+    `Lattice.lower_p_series` also sets `lattice` to itself and `scaled` to each
+    (N_i, p N_i) it built; neither takes part in equality or repr.
+    """
 
     terms: list[Span]
+    lattice: Lattice | None = field(default=None, compare=False, repr=False)
+    scaled: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for a, b in zip(self.terms, self.terms[1:]):

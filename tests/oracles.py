@@ -15,6 +15,8 @@ Route: what it does -> the library code it is independent of.
 - `bch_mul_reducing_every_term`: each coefficient reduced on its own, over
   `dense_bracket` -> `bch_mul`'s reduced series.
 - `direct_sum`: L + L' from the summands' brackets -> no library route.
+- `lower_p_series_by_brackets`: N_(i+1) = p N_i + [N_i, L], bracketing each
+  term -> `lower_p_series`'s p N_i + gamma_(i+1) from the stored series.
 - `explicit_fiber_matrix`: G1-G5 entry by entry -> `canonical_matrix`.
 - `uncached_invariant`, `uncached_verdict`: the dimension-3 invariant from
   eliminated spans -> the stored slot and the `Lattice` helpers.
@@ -25,8 +27,9 @@ Route: what it does -> the library code it is independent of.
   `generator_commutator_subgroup`, `conj_loop_is_normal`: fixed-point loops
   and conjugation -> `propgroup`'s closed forms.
 
-Fixtures: `abelian`, `heisenberg`, `filiform`, the Theorem-7.3 `grid` and
-`random_element` of a split group.
+Fixtures: `abelian`, `heisenberg`, `filiform`, `random_split_lattice`,
+`random_unimodular`, the Theorem-7.3 `grid` and `random_element` of a split
+group.
 """
 
 from contextlib import contextmanager
@@ -58,6 +61,29 @@ def heisenberg(ctx):
 def filiform(ctx, d):
     """[e_1, e_i] = e_(i+1) for 1 < i < d: nilpotent of class d - 1."""
     return Lattice.from_brackets(ctx, d, [(0, i, [int(k == i + 1) for k in range(d)]) for i in range(1, d - 1)])
+
+
+def random_split_lattice(ctx, n, rng, unit=False):
+    """Z_p x| Z_p^n with [y_i, x] = sum_j A_ij y_j, A = p^k U + p R for a random strictly
+    upper triangular U, a random R and k in {0, 0, 1}: a nilpotent A mod p, so the lower
+    central series descends, often for more than p terms once n >= p.  With `unit`, A
+    also gets 1 at its last diagonal entry, and the series stops at a nonzero term."""
+    p, mod = ctx.p, ctx.modulus
+    k = rng.choice((0, 0, 1))
+    A = [[(rng.randrange(mod) if j > i else 0) * p**k + p * rng.randrange(mod) for j in range(n)] for i in range(n)]
+    A[-1][-1] += int(unit)
+    return Lattice.from_brackets(ctx, n + 1, [(0, 1 + i, [0] + [-a for a in row]) for i, row in enumerate(A)])
+
+
+def random_unimodular(ctx, n, rng):
+    """A lower unitriangular times an upper triangular matrix with unit diagonal."""
+    mod, p = ctx.modulus, ctx.p
+    lower = [[rng.randrange(mod) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [
+        [rng.randrange(mod) if j > i else (rng.randrange(1, p) if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return PMatrix(ctx, lower) @ PMatrix(ctx, upper)
 
 
 class Member(NamedTuple):
@@ -299,6 +325,17 @@ def direct_sum(L: Lattice, other: Lattice) -> Lattice:
     brackets += [(d1 + i, d1 + j, (0,) * d1 + c) for i, j, c in other._brackets()]
     labels = tuple(L.labels) + tuple(f"{x}'" for x in other.labels)
     return Lattice.from_brackets(L.ctx, d1 + d2, brackets, labels)
+
+
+def lower_p_series_by_brackets(L: Lattice) -> list:
+    """N_1 = L, N_(i+1) = p N_i + [N_i, L], to the first repeat."""
+    full = L.full_span()
+    terms = [full]
+    while True:
+        nxt = terms[-1].scale(L.ctx.p).sum(L.bracket_span(terms[-1], full))
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
 
 
 def explicit_fiber_matrix(ctx, family, params):

@@ -160,6 +160,15 @@ class TestLatticeGroupLaw:
         with pytest.raises(ClassTooLarge):
             bch_mul(L, L.basis_vector(0), L.basis_vector(1))
 
+    def test_not_nilpotent_raises_below_the_budget(self):
+        # [y, x] = y at p = 7, N = 1 has no class, and N d + 1 = 3 is below p: a stand-in
+        # class of N d + 1 would pass the check and give a product
+        L = Lattice.from_brackets(PadicContext(7, 1), 2, [(1, 0, (0, 1))])
+        assert L.nilpotency_class() is None
+        for _ in range(2):
+            with pytest.raises(ClassTooLarge):
+                bch_mul(L, (1, 0), (0, 1))
+
 
 class TestWordEvaluation:
     def test_each_prefix_bracketed_once(self):

@@ -17,20 +17,9 @@ from padiclie.linalg import _eliminate, vec_scale
 from padiclie.propgroup import TWIST_CACHE_SIZE, SemidirectGroup
 
 from oracles import PlainLaw, bch_mul_reducing_every_term, dense_bracket, eliminate_reducing_every_column
-from oracles import grid, heisenberg, random_element
+from oracles import grid, heisenberg, random_element, random_unimodular
 
 CONTEXTS = [(p, N) for p in (2, 3, 5, 7) for N in (1, 3, 6)]
-
-
-def random_unimodular(ctx, n, rng):
-    """A lower unitriangular times an upper triangular matrix with unit diagonal."""
-    mod, p = ctx.modulus, ctx.p
-    lower = [[rng.randrange(mod) if j < i else int(i == j) for j in range(n)] for i in range(n)]
-    upper = [
-        [rng.randrange(mod) if j > i else (rng.randrange(1, p) if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    return PMatrix(ctx, lower) @ PMatrix(ctx, upper)
 
 
 def diagonal_p2_lattice(ctx):

@@ -15,7 +15,24 @@ from padiclie.errors import (
 )
 from padiclie.linalg import fixpoint
 
-from oracles import abelian, direct_sum, filiform, grid, heisenberg
+from oracles import abelian, direct_sum, filiform, grid, heisenberg, lower_p_series_by_brackets
+from oracles import random_split_lattice, random_unimodular
+
+
+def verdict_pool(p):
+    """Lattices for the checks against the bracket route: seeded random split lattices of
+    dimension up to p + 2 (two whose lower central series stops at a nonzero term), free
+    nilpotent lattices of class < p, filiform lattices of class p - 1 and p + 1, and a
+    basis-changed copy of every other one."""
+    rng = random.Random(3600 + p)
+    pool = []
+    for N in (2, 4, 6):
+        ctx = PadicContext(p, N)
+        pool += [random_split_lattice(ctx, n, rng) for n in range(1, p + 2)]
+        pool += [random_split_lattice(ctx, n, rng, unit=True) for n in (2, p)]
+        pool += [free_nilpotent_lattice(ctx, c) for c in range(1, min(p, 4))]
+        pool += [filiform(ctx, p), filiform(ctx, p + 2)]
+    return pool + [L.change_basis(random_unimodular(L.ctx, L.dim, rng)) for L in pool[::2]]
 
 
 class TestValidation:
@@ -101,13 +118,6 @@ class TestSeries:
         assert gammas[1] == Span(ctx, 3, [(0, 0, 1)])
         assert gammas[2].is_zero()
 
-    def test_lower_central_dim_p(self):
-        ctx = PadicContext(5, 4)
-        _, L = make_example_dim_p(ctx)
-        gammas = L.lower_central()
-        expected = Span(ctx, 5, [(0, 5, 0, 0, 0), (0, 0, 5, 0, 0), (0, 0, 0, 5, 0), (0, 0, 0, 0, 5)])
-        assert gammas[4] == expected
-
     def test_lower_p_series(self):
         ctx = PadicContext(5, 4)
         A = abelian(ctx, 2)
@@ -145,13 +155,6 @@ class TestPotency:
         H = heisenberg(ctx)
         assert H.verify_potent_filtration(H.lower_p_series()).passed
 
-    def test_dim_p_fails_at_step_one(self):
-        ctx = PadicContext(5, 4)
-        _, L = make_example_dim_p(ctx)
-        report = L.verify_potent_filtration(L.lower_p_series())
-        assert not report.passed
-        assert report.first_failure() == 1
-
     @staticmethod
     def reference_report(L, filtration):
         """The certificate with each [N_i,_{p-1} L] bracketed from N_i itself."""
@@ -167,38 +170,50 @@ class TestPotency:
         ]
         return lattice.PotencyReport(steps, terms[-1].is_zero())
 
-    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("p", [3, 5, 7])
     def test_shared_brackets_match_fresh_brackets(self, p, monkeypatch):
-        pool = []
-        for N in (4, 8):
+        pool = verdict_pool(p)
+        for N in (4, 8) if p > 3 else ():
             ctx = PadicContext(p, N)
             pool += [m.lattice for m in grid(ctx)]
             pool += [make_insoluble(ctx, which) for which in ("sl2tri", "sl1delta")]
             pool.append(make_example_dim_p(ctx)[1])
             pool += [make_levi_example(ctx, k) for k in (2, 3) if N >= 2 * k + 2]
-        cases = [(L, F) for L in pool for F in (L.lower_p_series(), lattice.Filtration(L.lower_central()))]
+        assert any(len(L.lower_central()) > p for L in pool)
+        assert any(L.nilpotency_class() is None for L in pool)
+        # (lattice, filtration, whether it is the lattice's own lower p-series as built)
+        cases = [(L, L.lower_p_series(), True) for L in pool]
+        cases += [(L, lattice.Filtration(L.lower_central()), False) for L in pool]
         if p == 5:
-            cases += [(m.lattice, m.lattice.lower_p_series()) for m in grid(PadicContext(5, 6))]
+            cases += [(m.lattice, m.lattice.lower_p_series(), True) for m in grid(PadicContext(5, 6))]
+        # a lower p-series altered after it is built: N_3 dropped, so [N_2, L] <= N_4 is asked
+        for L in pool[::2]:
+            altered = L.lower_p_series()
+            if len(altered) > 3:
+                del altered.terms[2]
+                cases.append((L, altered, False))
+        # the series of another lattice: the same one in another basis
+        rng = random.Random(p)
+        cases += [(L.change_basis(random_unimodular(L.ctx, L.dim, rng)), L.lower_p_series(), False) for L in pool[:8]]
         # filiform of class p = 3: the chain L > 0 fails both tests, and [L,_2 L] = <e4> is
         # nonzero while [L,_3 L] = 0
         crooked = filiform(PadicContext(3, 4), 4)
-        cases.append((crooked, lattice.Filtration([crooked.full_span(), Span.zero(crooked.ctx, 4)])))
+        cases.append((crooked, lattice.Filtration([crooked.full_span(), Span.zero(crooked.ctx, 4)]), False))
 
         bracketed = []
         bracket_span = Lattice.bracket_span
         monkeypatch.setattr(Lattice, "bracket_span", lambda L, S, T: bracketed.append(S) or bracket_span(L, S, T))
-        outcomes = set()
-        for L, filtration in cases:
+        failures = set()
+        for L, filtration, own in cases:
             bracketed.clear()
             report = L.verify_potent_filtration(filtration)
             assert len(bracketed) == len(set(bracketed))  # each span with L once per call
+            assert (not bracketed) == own  # only the own lower p-series skips the bracket route
             assert report == self.reference_report(L, filtration), L
-            outcomes.add(report.passed)
-        assert outcomes == {True, False}
+            failures.add(report.first_failure())
+        assert None in failures and 1 in failures and max(f or 0 for f in failures) >= 2
         step = crooked.verify_potent_filtration(cases[-1][1]).steps[0]
         assert not step.step_ok and not step.deep_ok
-        dim_p = make_example_dim_p(PadicContext(p, 4))[1]
-        assert not dim_p.verify_potent_filtration(dim_p.lower_p_series()).passed
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_saturable_sufficient_matches_double_bracket(self, p):
@@ -215,17 +230,38 @@ class TestPotency:
             saturable += [m.lattice for m in grid(ctx)] + [filiform(ctx, p)]
             others += [make_insoluble(ctx, which) for which in ("sl2tri", "sl1delta")]
             others.append(make_example_dim_p(ctx)[1])
-        for L in saturable + others:
+        pool = verdict_pool(p)
+        for L in saturable + others + pool:
             assert L.saturable_sufficient() == reference(L)
         assert all(L.saturable_sufficient() for L in saturable)
         assert not others[-1].saturable_sufficient()  # dimension p
+        assert {L.saturable_sufficient() for L in pool} == {True, False}
+
+    def test_lower_p_series_fails_at_step_one_or_not_at_all(self):
+        # with [N_i, L] <= N_(i+1), gamma_p <= p N_2 gives gamma_(p+i-1) = [gamma_p,_(i-1) L]
+        # <= p N_(i+1), so every later step passes, and the stable last term lies in p times itself
+        passed = set()
+        for p in (3, 5, 7):
+            for L in verdict_pool(p):
+                report = L.verify_potent_filtration(L.lower_p_series())
+                assert report.first_failure() in (None, 1)
+                passed.add(report.passed)
+        assert passed == {True, False}
 
     def test_construction_invariant(self):
-        # terms of the lower p-series satisfy the first potency inclusion
+        # the lower p-series is the bracket route's term by term, each N_i kept with p N_i,
+        # and its terms satisfy the first potency inclusion
         ctx = PadicContext(5, 4)
-        for L in (heisenberg(ctx), make_2dim(ctx, 1)[0]):
-            terms = L.lower_p_series().terms
-            for a, b in zip(terms, terms[1:]):
+        pool = [heisenberg(ctx), make_2dim(ctx, 1)[0], make_example_dim_p(ctx)[1]]
+        pool += [m.lattice for m in grid(ctx)]
+        for p in (3, 5, 7):
+            pool += verdict_pool(p)
+        for L in pool:
+            F = L.lower_p_series()
+            assert F.terms == lower_p_series_by_brackets(L)
+            assert [n for n, _ in F.scaled] == F.terms
+            assert all(pn == n.scale(L.ctx.p) for n, pn in F.scaled)
+            for a, b in zip(F.terms, F.terms[1:]):
                 assert b.contains(L.bracket_span(a, L.full_span()))
 
 
@@ -238,11 +274,6 @@ class TestSaturability:
         ctx = PadicContext(5, 6)
         for which in ("sl2tri", "sl1delta"):
             assert make_insoluble(ctx, which).saturable_sufficient()
-
-    def test_dim_p_false(self):
-        ctx = PadicContext(5, 4)
-        _, L = make_example_dim_p(ctx)
-        assert not L.saturable_sufficient()
 
     def test_sufficient_implies_potent(self):
         ctx = PadicContext(5, 6)
