@@ -69,15 +69,54 @@ So S = F_U + F_V + Z_p x, a span inside UV, has S (M^a - I) <= [UV, G] <= S
 for every a: S is twist-invariant, <w_U> S is a subgroup between U, V and
 UV, and `join` returns UV = <w_U> S with no generator loop.
 
+The lower p-series G_1 = G, G_(i+1) = [G_i, G] G_i^p and its potency
+certificate are read off the same table.  Write F E^k for the span of the
+rows of E^k, zero for k >= K, and S_i for the fiber span of G_i.  For i >= 1:
+- the series: G_i has witness (p^(i-1), 0) and fiber
+  S_i = sum_(k<i) p^(i-1-k) F E^k, so S_1 = F and S_(i+1) = p S_i + F E^i;
+- [G_i, G] = S_i E, which lies in S_i and in S_(i+1);
+- [G_i,_(p-1) G] = D_i, for D_1 = F E^(p-1) and D_i = p D_(i-1) + F E^(p+i-2).
+Induct on i, from G_1 = G = <(1, 0)> F.  Each term p^(i-1-k) F E^k of S_i is
+E-invariant, as F E^(k+1) = (F E) E^k lies in F E^k; so S_i is, and so is
+S_i E.  With T = M^(p^(i-1)) = sum_j C(p^(i-1), j) E^j (below), the list of
+commutators makes [G_i, G] the M-invariant span generated by S_i E and
+F (T - I), which lies in the sum of the terms C(p^(i-1), j) F E^j for
+1 <= j < K (the witness's vector is 0).  By Kummer, C(p^(i-1), j) is 0 for
+j > p^(i-1) and otherwise has valuation i - 1 - v_p(j) >= i - j, as
+v_p(j) <= j - 1.  So for j <= i the term lies in p^(i-j) F E^j, the image
+under E of the term k = j - 1 of S_i, and for j > i in F E^j, inside
+F E^i = (F E^(i-1)) E.  S_i E is E-invariant, hence M-invariant, and
+[G_i, G] = S_i E with no closure.  As T - I is E times a polynomial in E,
+S_i (T - I)^(p-1) lies in S_i E; so `power_subgroup` gives G_i^p the witness
+(p^i, 0) over p S_i plus a part of S_i E, and `join` gives [G_i, G] G_i^p
+the witness (p^i, 0) over p S_i + S_i E = sum_(k<=i) p^(i-k) F E^k = S_(i+1):
+the terms with k < i come from p S_i, those with k >= 1 from S_i E, and the
+one term not in p S_i is F E^i.  For the third, [G_i, G] = S_i E is a fiber
+subgroup with M-invariant span, so [G_i,_(p-1) G] = S_i E^(p-1) by the
+iterated commutators above: D_1 = F E^(p-1), and S_i = p S_(i-1) + F E^(i-1)
+gives D_i = p D_(i-1) + F E^(p+i-2).  Once D_(i-1) = 0 it stays 0, as
+F E^(p+i-2) = (F E^(i-2) E^(p-1)) E lies in D_(i-1) E.
+
+These terms are canonical as built: the witness (p^i, 0) has unit part 1,
+its power (p^N, 0) adds nothing to the fiber, 0 reduces to 0, and S_(i+1) is
+invariant under the witness twist, a polynomial in E.  At i >= N the witness
+is the identity and G_(i+1) is the fiber subgroup S_(i+1).  So
+`lower_p_series_group` builds each term from one span, with no commutator,
+power or join.  On that series, unaltered, `verify_group_potent_filtration`
+takes no commutator: the first inclusion holds by construction, and
+G_(i+1)^p is built only when D_i is nonzero.  Any other chain takes the
+subgroup route.  The split lattice L_E with fiber matrix E obeys the same
+recursions (`lattice` docstring), but L_E is not L(G): for M = exp(A), L(G)
+is the split lattice of A, while E = exp(A) - I.
+
 A `SubgroupData` is immutable once built and canonical, so [U, G] and U^p
 depend on the object alone: `commutator_subgroup` and `power_subgroup` keep
 them in its `commutator` and `power` slots, which the key (`__eq__`,
 `__hash__`) ignores.  `full_subgroup` is one stored object per group, and it
-keeps Phi(G) = [G, G] G^p in its `lower_p` slot, so the lower p-series,
-Phi(G) and the potency check share [G, G], G^p, the one object G_2 with its
-G_2^p, and each [N_i, G] and N_i^p.  Only G keeps its lower p-series step,
-so a group does not hold its whole series.  A stored result lives as long as
-the object holding it.
+keeps Phi(G) = G_2 in its `lower_p` slot, so the lower p-series, Phi(G)^p and
+the potency check share the one object G_2 with its G_2^p.  No other term of
+the series is kept, so a group does not hold its whole series.  A stored
+result lives as long as the object holding it.
 A group and its stored G refer to each other, so once `full_subgroup` has
 run, the group, its G and the results in G's slots are freed by the cyclic
 garbage collector rather than as soon as the last outside reference goes.
@@ -138,8 +177,8 @@ same kernel at the unreduced exponent p^N, and rejects the action otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from operator import mul
+from itertools import count, islice
+from operator import is_, mul
 
 from .errors import ContextMismatch, NotNormal, NotProP
 from .lattice import PotencyReport, PotencyStep
@@ -317,6 +356,14 @@ class SubgroupData:
         self.commutator = None
         self.power = None
         self.lower_p = None
+
+    @classmethod
+    def _canonical(cls, group: SemidirectGroup, witness: GroupElement | None, fiber: Span) -> "SubgroupData":
+        """Wrap a key already in canonical form, skipping the normalisation."""
+        U = cls.__new__(cls)
+        U.group, U.witness, U.fiber = group, witness, fiber
+        U.commutator = U.power = U.lower_p = None
+        return U
 
     @property
     def h_valuation(self):
@@ -501,26 +548,57 @@ def gamma_series(group: SemidirectGroup) -> list[SubgroupData]:
     return _series(group, full_subgroup(group), commutator_subgroup)
 
 
-def _lower_p_step(U: SubgroupData) -> SubgroupData:
-    """[U, G] U^p.  The stored G keeps its step, Phi(G), in its `lower_p` slot; other
-    subgroups do not, so that a group does not hold its whole lower p-series."""
-    if U.lower_p is not None:
-        return U.lower_p
-    # [U, G] is normal, and U^p is characteristic in the normal U: a join of normal subgroups
-    step = join(commutator_subgroup(U), power_subgroup(U))
-    if U is U.group._full:
-        U.lower_p = step
-    return step
+def _scaled_plus_power(group: SemidirectGroup, S: Span, k: int) -> Span:
+    """p S + F E^k, one elimination; F E^k is spanned by the rows of E^k, zero for k >= K."""
+    ctx = group.ctx
+    mod = ctx.modulus
+    rows = [[ctx.p * e % mod for e in r] for r in S.rows]
+    if k < len(group._powers):
+        rows.extend(group._powers[k].entries)
+    return Span(ctx, group.fiber_dim, rows)
 
 
-def lower_p_series_group(group: SemidirectGroup) -> list[SubgroupData]:
-    """G_1 = G, G_{i+1} = [G_i, G] G_i^p, to stabilisation at precision."""
-    return _series(group, full_subgroup(group), _lower_p_step)
+def _lower_p_term(group: SemidirectGroup, i: int, S: Span) -> SubgroupData:
+    """G_(i+1) from the fiber span S = S_i of G_i: witness (p^i, 0) over p S_i + F E^i,
+    canonical as built (module docstring)."""
+    a = group.ctx.p**i % group.ctx.modulus
+    witness = GroupElement(a, (0,) * group.fiber_dim) if a else None
+    return SubgroupData._canonical(group, witness, _scaled_plus_power(group, S, i))
+
+
+class LowerPSeries(list):
+    """G_1, G_2, ... as `lower_p_series_group` built them for `group`.  `built` keeps the
+    term objects, so that `verify_group_potent_filtration` can tell the series unaltered."""
+
+    __slots__ = ("group", "built")
+
+    def __init__(self, group: SemidirectGroup, terms):
+        super().__init__(terms)
+        self.group = group
+        self.built = tuple(terms)
+
+    def unaltered(self, group: SemidirectGroup) -> bool:
+        return self.group is group and len(self) == len(self.built) and all(map(is_, self, self.built))
+
+
+def lower_p_series_group(group: SemidirectGroup) -> LowerPSeries:
+    """G_1 = G, G_{i+1} = [G_i, G] G_i^p, to stabilisation at precision: G_2 the stored
+    Phi(G), then G_(i+1) from S_(i+1) = p S_i + F E^i (module docstring)."""
+    index = count(1)  # the step's argument is G_i for i = 1, 2, ...
+
+    def step(U):
+        i = next(index)
+        return frattini_p(group) if i == 1 else _lower_p_term(group, i, U.fiber)
+
+    return LowerPSeries(group, _series(group, full_subgroup(group), step))
 
 
 def frattini_p(group: SemidirectGroup) -> SubgroupData:
-    """Phi(G) = G^p [G, G] = G_2, the object the lower p-series of G holds."""
-    return _lower_p_step(full_subgroup(group))
+    """Phi(G) = G^p [G, G] = G_2 = <(p, 0)> (pF + F E), kept in the stored G's `lower_p` slot."""
+    G = full_subgroup(group)
+    if G.lower_p is None:
+        G.lower_p = _lower_p_term(group, 1, G.fiber)
+    return G.lower_p
 
 
 def frattini_p_power(group: SemidirectGroup) -> SubgroupData:
@@ -547,8 +625,15 @@ def check_gamma_p_in_phi_p(group: SemidirectGroup) -> GammaPhiReport:
 
 
 def verify_group_potent_filtration(group: SemidirectGroup, chain) -> PotencyReport:
-    """Stepwise potency certificate for a given chain of normal subgroups.  [N_i, G] is
-    built once per member: normality, the step, and [N_i,_{p-1} G] as its image under E^(p-2)."""
+    """Stepwise potency certificate for a given chain of normal subgroups.
+
+    Two routes give the same report.  On the group's own `lower_p_series_group`, unaltered,
+    no commutator is taken: the first inclusion holds by construction, and
+    [G_i,_(p-1) G] is the chain D_i (module docstring), checked against G_(i+1)^p only when
+    nonzero.  Any other chain takes the subgroup route: [N_i, G] built once per member for
+    normality, the step, and [N_i,_{p-1} G] as its image under E^(p-2)."""
+    if isinstance(chain, LowerPSeries) and chain.unaltered(group):
+        return _lower_p_report(group, chain)
     comms = [commutator_subgroup(U) for U in chain]  # fiber subgroups: compare spans
     if not all(U.fiber.contains(C.fiber) for U, C in zip(chain, comms)):
         raise NotNormal("chain member is not normal in the ambient group")
@@ -561,3 +646,16 @@ def verify_group_potent_filtration(group: SemidirectGroup, chain) -> PotencyRepo
         steps.append(PotencyStep(i + 1, step_ok, deep_ok))
     terminal_ok = chain[-1].is_trivial()
     return PotencyReport(steps, terminal_ok)
+
+
+def _lower_p_report(group: SemidirectGroup, series: LowerPSeries) -> PotencyReport:
+    """The certificate of the lower p-series from D_1 = F E^(p-1), D_i = p D_(i-1) + F E^(p+i-2)."""
+    p = group.ctx.p
+    steps = []
+    deep = _commutator_image(group, Span.full(group.ctx, group.fiber_dim), p - 1)  # D_1 = F E^(p-1)
+    for i in range(1, len(series)):
+        if i > 1 and not deep.is_zero():  # once zero, D stays zero
+            deep = _scaled_plus_power(group, deep, p + i - 2)
+        deep_ok = deep.is_zero() or power_subgroup(series[i]).fiber.contains(deep)
+        steps.append(PotencyStep(i, True, deep_ok))
+    return PotencyReport(steps, series[-1].is_trivial())

@@ -26,10 +26,14 @@ Route: what it does -> the library code it is independent of.
 - `fixpoint_twist_closure`, `fixpoint_normal_closure`, `fixpoint_routes`,
   `generator_commutator_subgroup`, `conj_loop_is_normal`: fixed-point loops
   and conjugation -> `propgroup`'s closed forms.
+- `lower_p_step_by_subgroups`, `lower_p_series_by_subgroups`,
+  `potency_report_by_subgroups`: G_(i+1) = [G_i, G] G_i^p as a join, and
+  [N_i,_(p-1) G] as p - 1 commutator subgroups -> `propgroup`'s lower
+  p-series read off the table of E = M - I.
 
-Fixtures: `abelian`, `heisenberg`, `filiform`, `random_split_lattice`,
-`random_unimodular`, the Theorem-7.3 `grid` and `random_element` of a split
-group.
+Fixtures: `abelian`, `heisenberg`, `filiform`, `random_nilpotent_mod_p`,
+`random_split_lattice`, `random_unimodular`, the Theorem-7.3 `grid`, and
+`random_element` of a split group and `fresh`, a subgroup with empty slots.
 """
 
 from contextlib import contextmanager
@@ -46,8 +50,9 @@ from padiclie.bch import poly_scale, reduce_to_basis, word_to_assoc
 from padiclie.catalog import action_matrix_on_abelian_ideal, make_thm73, thm73_fiber_matrix, thm73_grid
 from padiclie.classifier import _conj_moves, _orbit_from, classify, descriptors_equal
 from padiclie.errors import BadParameter, ContextMismatch, NotAUnit
+from padiclie.lattice import PotencyReport, PotencyStep
 from padiclie.linalg import vec_add, vec_scale
-from padiclie.propgroup import GroupElement, SemidirectGroup, generated_subgroup
+from padiclie.propgroup import GroupElement, SemidirectGroup, SubgroupData, generated_subgroup
 
 
 def abelian(ctx, d):
@@ -63,14 +68,19 @@ def filiform(ctx, d):
     return Lattice.from_brackets(ctx, d, [(0, i, [int(k == i + 1) for k in range(d)]) for i in range(1, d - 1)])
 
 
-def random_split_lattice(ctx, n, rng, unit=False):
-    """Z_p x| Z_p^n with [y_i, x] = sum_j A_ij y_j, A = p^k U + p R for a random strictly
-    upper triangular U, a random R and k in {0, 0, 1}: a nilpotent A mod p, so the lower
-    central series descends, often for more than p terms once n >= p.  With `unit`, A
-    also gets 1 at its last diagonal entry, and the series stops at a nonzero term."""
+def random_nilpotent_mod_p(ctx, n, rng):
+    """A = p^k U + p R as n lists of residues, for a random strictly upper triangular U, a
+    random R and k in {0, 0, 1}: nilpotent mod p, often of degree n when k = 0."""
     p, mod = ctx.p, ctx.modulus
     k = rng.choice((0, 0, 1))
-    A = [[(rng.randrange(mod) if j > i else 0) * p**k + p * rng.randrange(mod) for j in range(n)] for i in range(n)]
+    return [[(rng.randrange(mod) if j > i else 0) * p**k + p * rng.randrange(mod) for j in range(n)] for i in range(n)]
+
+
+def random_split_lattice(ctx, n, rng, unit=False):
+    """Z_p x| Z_p^n with [y_i, x] = sum_j A_ij y_j for A from `random_nilpotent_mod_p`, so
+    the lower central series descends, often for more than p terms once n >= p.  With
+    `unit`, A also gets 1 at its last diagonal entry, and the series stops at a nonzero term."""
+    A = random_nilpotent_mod_p(ctx, n, rng)
     A[-1][-1] += int(unit)
     return Lattice.from_brackets(ctx, n + 1, [(0, 1 + i, [0] + [-a for a in row]) for i, row in enumerate(A)])
 
@@ -449,6 +459,11 @@ def random_element(g, rng):
     return g.element(rng.randrange(g.ctx.modulus), [rng.randrange(g.ctx.modulus) for _ in range(g.fiber_dim)])
 
 
+def fresh(U):
+    """A new object with U's key and empty `commutator`/`power` slots: the closed forms run anew."""
+    return SubgroupData(U.group, U.witness, U.fiber)
+
+
 def index_exp_in_group(U) -> int:
     """log_p |G : U| at precision, for a `SubgroupData` U of G."""
     g = U.group
@@ -501,3 +516,31 @@ def fixpoint_routes():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propgroup, "_twist_closure", fixpoint_twist_closure)
         yield
+
+
+def lower_p_step_by_subgroups(U):
+    """[U, G] U^p, the join of the commutator and power subgroups of a normal U."""
+    return propgroup.join(propgroup.commutator_subgroup(U), propgroup.power_subgroup(U))
+
+
+def lower_p_series_by_subgroups(group):
+    """G_1 = G, G_(i+1) = [G_i, G] G_i^p by `lower_p_step_by_subgroups`, to the first repeat."""
+    terms = [propgroup.full_subgroup(group)]
+    while True:
+        nxt = lower_p_step_by_subgroups(terms[-1])
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
+
+
+def potency_report_by_subgroups(group, chain):
+    """The potency certificate with [N_i,_(p-1) G] as p - 1 commutator subgroups and
+    N_(i+1)^p from `power_subgroup`, each on a fresh object, so no slot is reused."""
+    steps = []
+    for i, (N, nxt) in enumerate(zip(chain, chain[1:])):
+        deep = fresh(N)
+        for _ in range(group.ctx.p - 1):
+            deep = propgroup.commutator_subgroup(deep)
+        step_ok = nxt.contains(propgroup.commutator_subgroup(fresh(N)))
+        steps.append(PotencyStep(i + 1, step_ok, propgroup.power_subgroup(fresh(nxt)).contains(deep)))
+    return PotencyReport(steps, chain[-1].is_trivial())

@@ -1,4 +1,5 @@
 import random
+from contextlib import suppress
 from functools import lru_cache
 
 import pytest
@@ -7,8 +8,7 @@ from padiclie import PadicContext, PMatrix, Span, mat_exp, mat_log, mat_pow_padi
 from padiclie.bch import lie_from_matrix_group
 from padiclie.catalog import make_example_dim_p, make_p2_groups, make_thm73, thm73_fiber_matrix
 from padiclie.classifier import classify, descriptors_equal
-from padiclie.errors import NotNormal, NotProP
-from padiclie.lattice import PotencyReport, PotencyStep
+from padiclie.errors import ConvergenceViolated, NotNormal, NotProP
 from padiclie.linalg import fixpoint, solve_over_rows
 from padiclie import propgroup
 from padiclie.propgroup import (
@@ -35,10 +35,15 @@ from oracles import (
     fixpoint_normal_closure,
     fixpoint_routes,
     fixpoint_twist_closure,
+    fresh,
     generator_commutator_subgroup,
     grid,
     index_exp_in_group,
+    lower_p_series_by_subgroups,
+    lower_p_step_by_subgroups,
+    potency_report_by_subgroups,
     random_element,
+    random_nilpotent_mod_p,
 )
 
 
@@ -54,6 +59,32 @@ def heisenberg_group(ctx, s=0):
 def example42(ctx):
     group, _ = make_example_dim_p(ctx)
     return group
+
+
+def jordan_block():
+    """Class p = 3 through a Jordan block at p^4: [G,_2 G] lies in G^p and [G, G] does not."""
+    ctx = PadicContext(3, 4)
+    return SemidirectGroup(ctx, PMatrix(ctx, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+
+
+def group_pool(p):
+    """Split groups for the checks against the subgroup route: seeded random actions I + A
+    and, where the series converges (p >= 5), exp(A), for A nilpotent mod p and fiber
+    dimension 1 to p + 2; actions `SemidirectGroup` rejects are left out.  At p = 3 the pool
+    also holds the Jordan block."""
+    rng = random.Random(4300 + p)
+    pool = [jordan_block()] if p == 3 else []
+    for N in (2, 4):
+        ctx = PadicContext(p, N)
+        for n in range(1, p + 3):
+            A = PMatrix(ctx, random_nilpotent_mod_p(ctx, n, rng))
+            actions = [PMatrix.identity(ctx, n) + A]
+            with suppress(ConvergenceViolated):
+                actions.append(mat_exp(A))
+            for M in actions:
+                with suppress(NotProP):
+                    pool.append(SemidirectGroup(ctx, M))
+    return pool
 
 
 class TestGroupLaw:
@@ -231,11 +262,6 @@ class TestFastPaths:
                 assert V.fiber == fixpoint_twist_closure(g, S, V.witness.a), V
 
 
-def fresh(U):
-    """A new object with U's key and empty `commutator`/`power` slots: the closed forms run anew."""
-    return SubgroupData(U.group, U.witness, U.fiber)
-
-
 ORACLE_GROUPS = ("grid", "dim-p", "p2")
 
 
@@ -340,7 +366,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("which", ORACLE_GROUPS)
     def test_series_joins_are_already_normal(self, which):
-        # lower_p_series_group and frattini_p return joins of normal subgroups unclosed
+        # lower_p_series_group and frattini_p build their closed-form terms unclosed
         for g in oracle_groups(which):
             terms = lower_p_series_group(g) + [frattini_p(g)]
             with fixpoint_routes():
@@ -618,18 +644,6 @@ class TestSaturabilityChecks:
         ctx = PadicContext(5, 4)
         assert check_gamma_p_in_phi_p(abelian_group(ctx)).holds
 
-    def test_example42_fails(self):
-        ctx = PadicContext(5, 4)
-        rep = check_gamma_p_in_phi_p(example42(ctx))
-        assert not rep.holds
-        assert rep.failing
-
-    def test_example42_lower_p_series_potency_fails_at_one(self):
-        ctx = PadicContext(5, 4)
-        g = example42(ctx)
-        rep = verify_group_potent_filtration(g, lower_p_series_group(g))
-        assert not rep.passed and rep.first_failure() == 1
-
     def test_abelian_lower_p_series_passes(self):
         ctx = PadicContext(5, 4)
         g = abelian_group(ctx)
@@ -642,27 +656,15 @@ class TestSaturabilityChecks:
         assert verify_group_potent_filtration(g, lower_p_series_group(g)).passed
 
     def test_one_commutator_per_term_matches_reference(self):
-        def reference(g, chain):
-            steps = []
-            for i, (N, nxt) in enumerate(zip(chain, chain[1:])):
-                deep = fresh(N)  # fresh objects: the verdict's filled slots are not reused
-                for _ in range(g.ctx.p - 1):
-                    deep = commutator_subgroup(deep)
-                step_ok = nxt.contains(commutator_subgroup(fresh(N)))
-                steps.append(PotencyStep(i + 1, step_ok, power_subgroup(fresh(nxt)).contains(deep)))
-            return PotencyReport(steps, chain[-1].is_trivial())
-
-        # class p = 3 through a Jordan block: [G,_2 G] lies in G^p and [G, G] does not
-        ctx = PadicContext(3, 4)
-        jordan = SemidirectGroup(ctx, PMatrix(ctx, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+        jordan = jordan_block()
         full, trivial = full_subgroup(jordan), generated_subgroup(jordan, [])
         groups = oracle_groups("grid") + oracle_groups("dim-p") + [example42(PadicContext(7, 4))]
         cases = [(g, lower_p_series_group(g)) for g in groups]
         cases += [(jordan, [full, full, trivial]), (jordan, [full, trivial])]
         for g, chain in cases:
-            assert verify_group_potent_filtration(g, chain) == reference(g, chain)
-        assert [s.deep_ok for s in reference(*cases[-2]).steps] == [True, False]
-        assert not reference(*cases[-1]).steps[0].deep_ok
+            assert verify_group_potent_filtration(g, chain) == potency_report_by_subgroups(g, chain)
+        assert [s.deep_ok for s in potency_report_by_subgroups(*cases[-2]).steps] == [True, False]
+        assert not potency_report_by_subgroups(*cases[-1]).steps[0].deep_ok
 
     def test_gamma_p_matches_gamma_series(self):
         def reference(g):
@@ -674,9 +676,7 @@ class TestSaturabilityChecks:
             failing = [x for x in gamma_p.generators() if not phi_p.contains_element(x)]
             return GammaPhiReport(not failing, gamma_p.generators(), failing)
 
-        ctx = PadicContext(3, 4)
-        jordan = SemidirectGroup(ctx, PMatrix(ctx, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
-        groups = oracle_groups("grid") + oracle_groups("dim-p") + [example42(PadicContext(7, 4)), jordan]
+        groups = oracle_groups("grid") + oracle_groups("dim-p") + [example42(PadicContext(7, 4)), jordan_block()]
         for g in groups:
             assert check_gamma_p_in_phi_p(g) == reference(g)
         # both ends of the table: E^(p-1) = 0 (K <= p - 1, e.g. abelian G0) and E^(p-1) != 0
@@ -684,38 +684,79 @@ class TestSaturabilityChecks:
         assert {len(g._powers) <= g.ctx.p - 1 for g in groups} == {True, False}
         assert not check_gamma_p_in_phi_p(groups[-2]).holds
 
-    def test_verdict_builds_one_commutator_per_chain_member(self, monkeypatch):
-        # count computations: calls that find the subgroup's slot empty
-        built = {"commutator": [], "power": [], "gamma_series": []}
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_lower_p_series_matches_subgroup_route(self, p):
+        # each term and Phi(G) against the join of [U, G] and U^p on a new group object (no
+        # filled slot), by key and by hash; the own series' report against p - 1 commutator
+        # subgroups per step
+        first_failures, later_failures = set(), 0
+        for g in group_pool(p):
+            series = lower_p_series_group(g)
+            twin = SemidirectGroup(g.ctx, g.action)
+            reference = [SubgroupData(g, X.witness, X.fiber) for X in lower_p_series_by_subgroups(twin)]
+            assert series == reference, g.action
+            assert [hash(X) for X in series] == [hash(X) for X in reference]
+            assert frattini_p(g) is series[1]
+            other = SemidirectGroup(g.ctx, g.action)
+            phi = frattini_p(other)  # before any series of its group
+            step = lower_p_step_by_subgroups(full_subgroup(SemidirectGroup(g.ctx, g.action)))
+            step = SubgroupData(other, step.witness, step.fiber)
+            assert phi == step and hash(phi) == hash(step)
+            report = verify_group_potent_filtration(g, series)
+            assert report == potency_report_by_subgroups(g, series), g.action
+            first_failures.add(report.first_failure())
+            later_failures += any(not s.deep_ok for s in report.steps[1:])
+        # the own series fails at step 1 or not at all (as on the lattice side), and often at
+        # later steps too, where D_i with i >= 2 decides
+        assert first_failures == {None, 1} and later_failures
 
-        def counted(slot):
-            original = getattr(propgroup, f"{slot}_subgroup")
+    def test_only_the_own_series_skips_the_subgroup_route(self, monkeypatch):
+        calls = {"commutator_subgroup": [], "join": [], "gamma_series": []}
+        powers = []  # power subgroups computed: calls that find the slot empty
+        for name, objects in calls.items():
+            original = getattr(propgroup, name)
+            monkeypatch.setattr(propgroup, name, lambda *a, f=original, seen=objects: seen.append(a[0]) or f(*a))
+        power_subgroup = propgroup.power_subgroup
+        monkeypatch.setattr(propgroup, "power_subgroup", lambda U: U.power or powers.append(U) or power_subgroup(U))
 
-            def call(U):
-                if getattr(U, slot) is None:
-                    built[slot].append(U)
-                return original(U)
-
-            return call
-
-        for slot in ("commutator", "power"):
-            monkeypatch.setattr(propgroup, f"{slot}_subgroup", counted(slot))
-        gamma_series = propgroup.gamma_series
-        monkeypatch.setattr(propgroup, "gamma_series", lambda g: built["gamma_series"].append(g) or gamma_series(g))
-        for g in oracle_groups("grid") + oracle_groups("dim-p"):
-            for objects in built.values():
+        groups = oracle_groups("grid")[::3] + oracle_groups("dim-p") + group_pool(3)[::4]
+        altered_kinds = set()
+        for g in groups:
+            for objects in (*calls.values(), powers):
                 objects.clear()
             chain = lower_p_series_group(g)
             check_gamma_p_in_phi_p(g)
-            verify_group_potent_filtration(g, chain)
-            # one [U, G] and one U^p per chain member, shared by the three calls: Phi is
-            # the chain's G_2 object, so Phi^p is its stored power; no key is computed twice
-            for slot in ("commutator", "power"):
-                assert len({id(U) for U in built[slot]}) == len(built[slot])
-                assert len({(U.witness, U.fiber) for U in built[slot]}) == len(built[slot])
-                assert {id(U) for U in built[slot]} == {id(U) for U in chain}
+            report = verify_group_potent_filtration(g, chain)
+            assert all(objects == [] for objects in calls.values())
             assert frattini_p(g) is chain[1]
-            assert built["gamma_series"] == []
+            # at most one G_i^p per member, Phi(G)^p the stored power of G_2; with E^(p-1) = 0
+            # every D_i is zero, and Phi(G)^p is the only power built
+            assert len({id(U) for U in powers}) == len(powers) and {id(U) for U in powers} <= {id(U) for U in chain}
+            if len(g._powers) < g.ctx.p:
+                assert powers == [chain[1]]
+            assert report == potency_report_by_subgroups(g, chain)
+
+            # a user's chain, a copy, a reordered one, one truncated in the middle, one with a
+            # term swapped for an equal object, and another group's series
+            altered = [("user", [full_subgroup(g), generated_subgroup(g, [])]), ("copy", list(chain))]
+            reordered = lower_p_series_group(g)
+            reordered[0], reordered[1] = reordered[1], reordered[0]
+            altered.append(("reordered", reordered))
+            if len(chain) > 3:
+                truncated = lower_p_series_group(g)
+                del truncated[2]
+                altered.append(("truncated", truncated))
+            swapped = lower_p_series_group(g)
+            swapped[-1] = fresh(swapped[-1])
+            altered.append(("swapped", swapped))
+            altered.append(("other group", lower_p_series_group(SemidirectGroup(g.ctx, g.action))))
+            for kind, other in altered:
+                calls["commutator_subgroup"].clear()
+                report = verify_group_potent_filtration(g, other)
+                assert {id(U) for U in calls["commutator_subgroup"]} >= {id(U) for U in other}, kind
+                assert report == potency_report_by_subgroups(g, other), kind
+                altered_kinds.add(kind)
+        assert len(altered_kinds) == 6
 
     def test_not_normal_rejected(self):
         ctx = PadicContext(5, 4)
