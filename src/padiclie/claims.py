@@ -97,40 +97,42 @@ def thm73_irredundant(members) -> list:
     return [("pairwise isomorphism tests all distinct", not collision)]
 
 
-def levi(ctx: PadicContext, k: int) -> list:
-    """The powerful lattice whose soluble radical has no complement.
-
-    The defect scan ranges over all lifts h~ = h + alpha a + beta b and
-    x~ = x + gamma a + delta b with offsets mod p^k, checking that
-    [h~, x~] - 2 p^k x~ lies in R but never in p^k R.
-    """
-    L = catalog.make_levi_example(ctx, k)
-    p, mod = ctx.p, ctx.modulus
-    pk = p**k
-    full = L.full_span()
+def _levi_defect_system(L, k: int):
+    """The complement defect [h, x] - 2 p^k x of the Levi lattice L, and its increments per
+    unit of the lift offsets: h~ = h + alpha a + beta b and x~ = x + gamma a + delta b move
+    it by alpha [a, x] + beta [b, x] + gamma ([h, a] - 2 p^k a) + delta ([h, b] - 2 p^k b)."""
+    mod = L.ctx.modulus
+    pk = L.ctx.p**k
     x, h, a, b = (L.basis_vector(i) for i in (0, 2, 3, 4))
     base = vec_add(L.bracket(h, x), vec_scale(-2 * pk, x, mod), mod)
     va = L.bracket(a, x)
     vb = L.bracket(b, x)
     vg = vec_add(L.bracket(h, a), vec_scale(-2 * pk, a, mod), mod)
     vd = vec_add(L.bracket(h, b), vec_scale(-2 * pk, b, mod), mod)
-    always_outside = not any(any(v[:3]) for v in (base, va, vb, vg, vd))
-    count = 0
-    rng = range(pk if always_outside else 0)  # no scan once a defect leaves R
-    for alpha in rng:
-        pa = (base[3] + alpha * va[3]) % mod, (base[4] + alpha * va[4]) % mod
-        for beta in rng:
-            pb = (pa[0] + beta * vb[3]) % mod, (pa[1] + beta * vb[4]) % mod
-            for gamma in rng:
-                pg = (pb[0] + gamma * vg[3]) % mod, (pb[1] + gamma * vg[4]) % mod
-                for delta in rng:
-                    ca = (pg[0] + delta * vd[3]) % mod
-                    cb = (pg[1] + delta * vd[4]) % mod
-                    count += 1
-                    if ca % pk == 0 and cb % pk == 0:
-                        always_outside = False
+    return base, (va, vb, vg, vd)
+
+
+def _levi_defect(ctx: PadicContext, k: int, base, steps) -> tuple:
+    """(offsets covered, whether no lift kills the defect) for offsets mod p^k.
+
+    The statement covers all p^(4k) offsets when the defect and its increments lie in
+    R = span(a, b), and none otherwise.  Some offset kills the defect mod p^k exactly when
+    -base lies in the span of the increments over Z/p^k, in the (a, b) coordinates."""
+    if any(any(v[:3]) for v in (base, *steps)):
+        return 0, False
+    increments = Span(PadicContext(ctx.p, k), 2, [v[3:] for v in steps])
+    return ctx.p ** (4 * k), not increments.member([-e for e in base[3:]])
+
+
+def levi(ctx: PadicContext, k: int) -> list:
+    """The powerful lattice whose soluble radical has no complement: over all lifts
+    h~ = h + alpha a + beta b and x~ = x + gamma a + delta b with offsets mod p^k,
+    [h~, x~] - 2 p^k x~ lies in R but never in p^k R."""
+    L = catalog.make_levi_example(ctx, k)
+    full = L.full_span()
+    count, always_outside = _levi_defect(ctx, k, *_levi_defect_system(L, k))
     return [
-        ("[L,L] contained in pL", full.scale(p).contains(L.bracket_span(full, full))),
+        ("[L,L] contained in pL", full.scale(ctx.p).contains(L.bracket_span(full, full))),
         ("radical is the (a, b) plane", L.soluble_radical() == Span(ctx, 5, [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])),
         (f"no lift kills the complement defect ({count} offsets)", always_outside),
     ]

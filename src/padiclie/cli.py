@@ -127,8 +127,9 @@ FIXTURES = {
     # below 7 the grid's invariants are not determined (p = 5, 7, 11, 13 tried),
     # and at N = 1 the members d = 0 and d = p coincide
     "thm73-grid": (_verify_thm73_grid, 7),
-    # the default N is 2k + 3 for k = 2; the floor 2k + 2 separates the defect
-    "levi": (lambda args: claims.levi(_resolve(args, 7), 2), 6),
+    # the default N is 2k + 3 for k = 2, and the floor: at 2k + 2 the lattice exists, but at
+    # p = 5 its Killing pairing is degenerate too close to precision
+    "levi": (lambda args: claims.levi(_resolve(args, 7), 2), 7),
     # the invariant needs 2s < N, and s runs to 3
     "two-dim": (lambda args: claims.two_dim(_resolve(args, 8), random.Random(_given(args.seed, 0)), 10), 7),
     "insoluble": (lambda args: claims.insoluble(_resolve(args, 6)), 2),  # at N = 1 the p-multiple brackets vanish

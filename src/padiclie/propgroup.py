@@ -109,17 +109,14 @@ subgroup route.  The split lattice L_E with fiber matrix E obeys the same
 recursions (`lattice` docstring), but L_E is not L(G): for M = exp(A), L(G)
 is the split lattice of A, while E = exp(A) - I.
 
-A `SubgroupData` is immutable once built and canonical, so [U, G] and U^p
-depend on the object alone: `commutator_subgroup` and `power_subgroup` keep
-them in its `commutator` and `power` slots, which the key (`__eq__`,
-`__hash__`) ignores.  `full_subgroup` is one stored object per group, and it
-keeps Phi(G) = G_2 in its `lower_p` slot, so the lower p-series, Phi(G)^p and
-the potency check share the one object G_2 with its G_2^p.  No other term of
-the series is kept, so a group does not hold its whole series.  A stored
-result lives as long as the object holding it.
-A group and its stored G refer to each other, so once `full_subgroup` has
-run, the group, its G and the results in G's slots are freed by the cyclic
-garbage collector rather than as soon as the last outside reference goes.
+A `SubgroupData` is a plain value: its group, witness and fiber, and nothing
+computed from it is kept on it.  The one derived subgroup a group stores is
+Phi(G) = G_2, in its `_phi` slot: `check_gamma_p_in_phi_p` (through
+Phi(G)^p) and `lower_p_series_group` (as its second term) both need it, so
+`frattini_p` builds it once per group.  No other term of the series is kept.
+A group and its stored G_2 refer to each other, so once `frattini_p` has run
+they are freed by the cyclic garbage collector rather than as soon as the
+last outside reference goes.
 
 Every invariant span in this module comes from one step.  A span S is closed
 under M^a and M^-a exactly when it is closed under F = M^a - I: as
@@ -205,7 +202,7 @@ class SemidirectGroup:
     exponents can be reduced mod p^N; the module docstring says when.
     """
 
-    __slots__ = ("ctx", "fiber_dim", "action", "_twist_cache", "_powers", "_table", "_full")
+    __slots__ = ("ctx", "fiber_dim", "action", "_twist_cache", "_powers", "_table", "_phi")
 
     def __init__(self, ctx: PadicContext, action: PMatrix):
         if action.ctx != ctx:
@@ -226,7 +223,7 @@ class SemidirectGroup:
         self._table = tuple(
             tuple(tuple(P.entries[r][s] for P in powers[1:]) for r in range(n)) for s in range(n)
         )
-        self._full = None  # G as a SubgroupData, built by full_subgroup
+        self._phi = None  # Phi(G) = G_2 as a SubgroupData, built by frattini_p
         if any(map(any, self._increment_columns(ctx.modulus))):
             raise NotProP("action matrix has p-power order above p^N at this precision")
 
@@ -334,10 +331,9 @@ class SubgroupData:
     """A closed subgroup in canonical split form: `fiber` is U ∩ F and `witness`
     None or (p^e, v) with v reduced modulo it (module docstring).  The fiber
     passed in must be invariant under the witness twist; it is not closed here.
-    `commutator` and `power` hold [U, G] and U^p once built, and `lower_p` holds
-    Phi(G) = [G, G] G^p on the stored G; the key ignores them."""
+    A plain value: the three fields are the whole object and its key."""
 
-    __slots__ = ("group", "witness", "fiber", "commutator", "power", "lower_p")
+    __slots__ = ("group", "witness", "fiber")
 
     def __init__(self, group: SemidirectGroup, witness: GroupElement | None, fiber: Span):
         self.group = group
@@ -353,16 +349,12 @@ class SubgroupData:
             witness = GroupElement(witness.a, fiber.reduce(witness.v))
         self.witness = witness
         self.fiber = fiber
-        self.commutator = None
-        self.power = None
-        self.lower_p = None
 
     @classmethod
     def _canonical(cls, group: SemidirectGroup, witness: GroupElement | None, fiber: Span) -> "SubgroupData":
         """Wrap a key already in canonical form, skipping the normalisation."""
         U = cls.__new__(cls)
         U.group, U.witness, U.fiber = group, witness, fiber
-        U.commutator = U.power = U.lower_p = None
         return U
 
     @property
@@ -465,11 +457,10 @@ def generated_subgroup(group: SemidirectGroup, gens) -> SubgroupData:
 
 
 def full_subgroup(group: SemidirectGroup) -> SubgroupData:
-    """G itself, one stored object per group, so its [G, G] and G^p are built once."""
-    if group._full is None:
-        x = GroupElement(1, (0,) * group.fiber_dim)
-        group._full = SubgroupData(group, x, Span.full(group.ctx, group.fiber_dim))
-    return group._full
+    """G itself, witness (1, 0) over the whole fiber: canonical as built (unit part 1, and
+    the power (p^N, 0) adds nothing)."""
+    x = GroupElement(1, (0,) * group.fiber_dim)
+    return SubgroupData._canonical(group, x, Span.full(group.ctx, group.fiber_dim))
 
 
 def normal_closure(U: SubgroupData) -> SubgroupData:
@@ -491,10 +482,7 @@ def join(U: SubgroupData, V: SubgroupData) -> SubgroupData:
 
 def commutator_subgroup(U: SubgroupData) -> SubgroupData:
     """[U, G], a fiber subgroup: the M-invariant span of F_U (M - I),
-    v_w (M - I) and F (M^(a_w) - I) for U's witness (a_w, v_w) (module docstring).
-    Built once per subgroup object and kept in its `commutator` slot."""
-    if U.commutator is not None:
-        return U.commutator
+    v_w (M - I) and F (M^(a_w) - I) for U's witness (a_w, v_w) (module docstring)."""
     group = U.group
     mod = group.ctx.modulus
     E = group._increment(1)  # F_1 = M - I
@@ -502,8 +490,7 @@ def commutator_subgroup(U: SubgroupData) -> SubgroupData:
     if U.witness is not None:
         rows.append(_row_times(U.witness.v, E, mod))
         rows.extend(zip(*group._increment(U.witness.a)))  # the rows of M^(a_w) - I
-    U.commutator = SubgroupData(group, None, _invariant_span(group, rows, E))
-    return U.commutator
+    return SubgroupData(group, None, _invariant_span(group, rows, E))
 
 
 def _commutator_image(group: SemidirectGroup, S: Span, k: int) -> Span:
@@ -513,23 +500,18 @@ def _commutator_image(group: SemidirectGroup, S: Span, k: int) -> Span:
 
 
 def power_subgroup(U: SubgroupData) -> SubgroupData:
-    """The subgroup generated by all p-th powers of U (closed form; see module docstring).
-    Built once per subgroup object and kept in its `power` slot."""
-    if U.power is not None:
-        return U.power
+    """The subgroup generated by all p-th powers of U (closed form; see module docstring)."""
     group = U.group
     p = group.ctx.p
     pF = U.fiber.scale(p)
     if U.witness is None:
-        U.power = SubgroupData(group, None, pF)
-        return U.power
+        return SubgroupData(group, None, pF)
     F = group._increment(U.witness.a)
     mod = group.ctx.modulus
     deep = U.fiber.rows
     for _ in range(p - 1):
         deep = [_row_times(r, F, mod) for r in deep]
-    U.power = SubgroupData(group, group.pow(U.witness, p), pF.add_rows(deep))
-    return U.power
+    return SubgroupData(group, group.pow(U.witness, p), pF.add_rows(deep))
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +576,10 @@ def lower_p_series_group(group: SemidirectGroup) -> LowerPSeries:
 
 
 def frattini_p(group: SemidirectGroup) -> SubgroupData:
-    """Phi(G) = G^p [G, G] = G_2 = <(p, 0)> (pF + F E), kept in the stored G's `lower_p` slot."""
-    G = full_subgroup(group)
-    if G.lower_p is None:
-        G.lower_p = _lower_p_term(group, 1, G.fiber)
-    return G.lower_p
+    """Phi(G) = G^p [G, G] = G_2 = <(p, 0)> (pF + F E), one stored object per group."""
+    if group._phi is None:
+        group._phi = _lower_p_term(group, 1, Span.full(group.ctx, group.fiber_dim))
+    return group._phi
 
 
 def frattini_p_power(group: SemidirectGroup) -> SubgroupData:

@@ -26,14 +26,16 @@ Route: what it does -> the library code it is independent of.
 - `fixpoint_twist_closure`, `fixpoint_normal_closure`, `fixpoint_routes`,
   `generator_commutator_subgroup`, `conj_loop_is_normal`: fixed-point loops
   and conjugation -> `propgroup`'s closed forms.
-- `lower_p_step_by_subgroups`, `lower_p_series_by_subgroups`,
-  `potency_report_by_subgroups`: G_(i+1) = [G_i, G] G_i^p as a join, and
-  [N_i,_(p-1) G] as p - 1 commutator subgroups -> `propgroup`'s lower
-  p-series read off the table of E = M - I.
+- `lower_p_series_by_subgroups`, `potency_report_by_subgroups`:
+  G_(i+1) = [G_i, G] G_i^p as a join, and [N_i,_(p-1) G] as p - 1
+  commutator subgroups -> `propgroup`'s lower p-series read off the table of
+  E = M - I.
+- `levi_defect_scan`: every lift offset mod p^k -> `claims._levi_defect`'s one
+  span membership.
 
 Fixtures: `abelian`, `heisenberg`, `filiform`, `random_nilpotent_mod_p`,
 `random_split_lattice`, `random_unimodular`, the Theorem-7.3 `grid`, and
-`random_element` of a split group and `fresh`, a subgroup with empty slots.
+`random_element` of a split group.
 """
 
 from contextlib import contextmanager
@@ -52,7 +54,7 @@ from padiclie.classifier import _conj_moves, _orbit_from, classify, descriptors_
 from padiclie.errors import BadParameter, ContextMismatch, NotAUnit
 from padiclie.lattice import PotencyReport, PotencyStep
 from padiclie.linalg import vec_add, vec_scale
-from padiclie.propgroup import GroupElement, SemidirectGroup, SubgroupData, generated_subgroup
+from padiclie.propgroup import GroupElement, SemidirectGroup, generated_subgroup
 
 
 def abelian(ctx, d):
@@ -459,11 +461,6 @@ def random_element(g, rng):
     return g.element(rng.randrange(g.ctx.modulus), [rng.randrange(g.ctx.modulus) for _ in range(g.fiber_dim)])
 
 
-def fresh(U):
-    """A new object with U's key and empty `commutator`/`power` slots: the closed forms run anew."""
-    return SubgroupData(U.group, U.witness, U.fiber)
-
-
 def index_exp_in_group(U) -> int:
     """log_p |G : U| at precision, for a `SubgroupData` U of G."""
     g = U.group
@@ -518,16 +515,13 @@ def fixpoint_routes():
         yield
 
 
-def lower_p_step_by_subgroups(U):
-    """[U, G] U^p, the join of the commutator and power subgroups of a normal U."""
-    return propgroup.join(propgroup.commutator_subgroup(U), propgroup.power_subgroup(U))
-
-
 def lower_p_series_by_subgroups(group):
-    """G_1 = G, G_(i+1) = [G_i, G] G_i^p by `lower_p_step_by_subgroups`, to the first repeat."""
+    """G_1 = G, G_(i+1) = [G_i, G] G_i^p as the join of the commutator and power subgroups
+    of G_i, to the first repeat."""
     terms = [propgroup.full_subgroup(group)]
     while True:
-        nxt = lower_p_step_by_subgroups(terms[-1])
+        U = terms[-1]
+        nxt = propgroup.join(propgroup.commutator_subgroup(U), propgroup.power_subgroup(U))
         if nxt == terms[-1]:
             return terms
         terms.append(nxt)
@@ -535,12 +529,37 @@ def lower_p_series_by_subgroups(group):
 
 def potency_report_by_subgroups(group, chain):
     """The potency certificate with [N_i,_(p-1) G] as p - 1 commutator subgroups and
-    N_(i+1)^p from `power_subgroup`, each on a fresh object, so no slot is reused."""
+    N_(i+1)^p from `power_subgroup`, with no iterated image of E."""
     steps = []
     for i, (N, nxt) in enumerate(zip(chain, chain[1:])):
-        deep = fresh(N)
+        deep = N
         for _ in range(group.ctx.p - 1):
             deep = propgroup.commutator_subgroup(deep)
-        step_ok = nxt.contains(propgroup.commutator_subgroup(fresh(N)))
-        steps.append(PotencyStep(i + 1, step_ok, propgroup.power_subgroup(fresh(nxt)).contains(deep)))
+        step_ok = nxt.contains(propgroup.commutator_subgroup(N))
+        steps.append(PotencyStep(i + 1, step_ok, propgroup.power_subgroup(nxt).contains(deep)))
     return PotencyReport(steps, chain[-1].is_trivial())
+
+
+def levi_defect_scan(ctx, k, base, steps):
+    """(offsets scanned, whether no lift kills the defect): every offset (alpha, beta, gamma,
+    delta) mod p^k, testing base + alpha va + beta vb + gamma vg + delta vd mod p^k in the
+    (a, b) coordinates; no scan once a vector leaves R."""
+    p, mod = ctx.p, ctx.modulus
+    pk = p**k
+    va, vb, vg, vd = steps
+    always_outside = not any(any(v[:3]) for v in (base, va, vb, vg, vd))
+    count = 0
+    rng = range(pk if always_outside else 0)  # no scan once a defect leaves R
+    for alpha in rng:
+        pa = (base[3] + alpha * va[3]) % mod, (base[4] + alpha * va[4]) % mod
+        for beta in rng:
+            pb = (pa[0] + beta * vb[3]) % mod, (pa[1] + beta * vb[4]) % mod
+            for gamma in rng:
+                pg = (pb[0] + gamma * vg[3]) % mod, (pb[1] + gamma * vg[4]) % mod
+                for delta in rng:
+                    ca = (pg[0] + delta * vd[3]) % mod
+                    cb = (pg[1] + delta * vd[4]) % mod
+                    count += 1
+                    if ca % pk == 0 and cb % pk == 0:
+                        always_outside = False
+    return count, always_outside

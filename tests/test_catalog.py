@@ -20,7 +20,7 @@ from padiclie.catalog import (
     thm73_fiber_matrix,
     thm73_grid,
 )
-from padiclie.claims import random_invertible
+from padiclie.claims import _levi_defect, _levi_defect_system, random_invertible
 from padiclie.classifier import classify, descriptors_equal
 from padiclie.errors import (
     BadParameter,
@@ -32,7 +32,7 @@ from padiclie.errors import (
 )
 from padiclie.lattice import Lattice
 
-from oracles import explicit_fiber_matrix, grid, uncached_invariant, uncached_verdict
+from oracles import explicit_fiber_matrix, grid, levi_defect_scan, uncached_invariant, uncached_verdict
 
 
 def outcome(build):
@@ -44,12 +44,6 @@ def outcome(build):
 
 
 class TestTwoDim:
-    def test_invariant_matches_parameter(self):
-        ctx = PadicContext(5, 8)
-        for s in (1, 2, 3):
-            lat, _ = make_2dim(ctx, s)
-            assert lat.two_dim_invariant() == s
-
     def test_group_relation(self):
         ctx = PadicContext(5, 6)
         for s in (1, 2):
@@ -254,6 +248,33 @@ class TestLevi:
             make_levi_example(PadicContext(5, 7), 1)
         with pytest.raises(BadParameter):
             make_levi_example(PadicContext(5, 4), 2)
+
+    @pytest.mark.parametrize("p, N", [(5, 7), (7, 6), (7, 7)])
+    def test_defect_membership_matches_scan_on_the_fixture(self, p, N):
+        ctx = PadicContext(p, N)
+        system = _levi_defect_system(make_levi_example(ctx, 2), 2)
+        assert _levi_defect(ctx, 2, *system) == levi_defect_scan(ctx, 2, *system) == (p**8, True)
+
+    def test_defect_membership_matches_scan_on_random_systems(self):
+        # entries scaled by p^j for j up to k + 1, so that some defects cannot be killed and
+        # some vanish mod p^k but not mod p^(k+1); in one draw of six a vector leaves R, and
+        # nothing is scanned
+        rng = random.Random(44)
+        answers = set()
+        for p, k in ((3, 1), (3, 2), (5, 1), (7, 1)):
+            ctx = PadicContext(p, k + 2)
+            mod = ctx.modulus
+            for draw in range(30):
+                base, *steps = (
+                    [0, 0, 0] + [p ** rng.randrange(k + 2) * rng.randrange(mod) % mod for _ in range(2)]
+                    for _ in range(5)
+                )
+                if draw % 6 == 5:
+                    rng.choice(steps)[rng.randrange(3)] = rng.randrange(1, mod)
+                answer = _levi_defect(ctx, k, base, steps)
+                assert answer == levi_defect_scan(ctx, k, base, steps), (p, k, base, steps)
+                answers.add(answer[1] if answer[0] else None)
+        assert answers == {True, False, None}
 
 
 class TestP2Groups:

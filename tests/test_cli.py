@@ -58,11 +58,17 @@ class TestVerify:
         ["example-4.2", "example-4.7", "p3-pair", "thm73-grid", "two-dim", "insoluble", "p2-groups", "levi"],
     )
     def test_fixture_passes(self, capsys, fixture):
-        # levi takes over a second at p = 7, so it runs at the default p only
-        for flags in [()] if fixture == "levi" else [(), ("--p", "7")]:
+        for flags in [(), ("--p", "7")]:
             code, out, _ = run(capsys, "verify", fixture, *flags)
             assert code == 0, flags
             assert out.strip().endswith("pass")
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_levi_passes_from_its_floor(self, capsys, p):
+        assert FIXTURES["levi"][1] == 7
+        for n in range(7, 11):
+            code, out, err = run(capsys, "verify", "levi", "--p", str(p), "--N", str(n))
+            assert code == 0 and out.strip().endswith("pass"), (n, err)
 
     def test_classifier_oracle(self, capsys):
         code, out, _ = run(capsys, "verify", "classifier-oracle")
@@ -89,7 +95,7 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "fixture, n",
-        [("example-4.2", 1), ("example-4.7", 1), ("insoluble", 1), ("thm73-grid", 1), ("p2-groups", 3)],
+        [("example-4.2", 1), ("example-4.7", 1), ("insoluble", 1), ("thm73-grid", 1), ("p2-groups", 3), ("levi", 6)],
     )
     def test_below_minimum_precision_is_bad_input(self, capsys, fixture, n):
         # these used to print FAIL and exit 1: the invariants vanish at that precision

@@ -6,9 +6,10 @@ import pytest
 
 from padiclie import PadicContext, PMatrix, Span, mat_exp, mat_log, mat_pow_padic
 from padiclie.bch import lie_from_matrix_group
-from padiclie.catalog import make_example_dim_p, make_p2_groups, make_thm73, thm73_fiber_matrix
+from padiclie.catalog import _split_pair, make_example_dim_p, make_p2_groups, make_thm73, thm73_fiber_matrix
 from padiclie.classifier import classify, descriptors_equal
 from padiclie.errors import ConvergenceViolated, NotNormal, NotProP
+from padiclie.lattice import Filtration
 from padiclie.linalg import fixpoint, solve_over_rows
 from padiclie import propgroup
 from padiclie.propgroup import (
@@ -35,12 +36,10 @@ from oracles import (
     fixpoint_normal_closure,
     fixpoint_routes,
     fixpoint_twist_closure,
-    fresh,
     generator_commutator_subgroup,
     grid,
     index_exp_in_group,
     lower_p_series_by_subgroups,
-    lower_p_step_by_subgroups,
     potency_report_by_subgroups,
     random_element,
     random_nilpotent_mod_p,
@@ -421,7 +420,7 @@ class TestClosedForms:
         for which in ORACLE_GROUPS:
             for g, U, _, _ in oracle_cases(which)[:20]:
                 commutator_subgroup(U)
-                normal_closure(fresh(U))
+                normal_closure(U)
                 if U.witness is not None:
                     propgroup._twist_closure(g, U.fiber, U.witness.a)
         assert calls == []
@@ -499,9 +498,9 @@ class TestCanonicalForm:
         monkeypatch.setattr(SemidirectGroup, "conj", lambda *a: conjugations.append(a) or conj(*a))
         for g, V in pairs:
             propgroup.SubgroupData(g, V.witness, V.fiber)
-            normal_closure(fresh(V))  # fresh objects, so the closed forms run with empty slots
-            power_subgroup(fresh(V))
-            commutator_subgroup(fresh(V))
+            normal_closure(V)
+            power_subgroup(V)
+            commutator_subgroup(V)
             for _, W in pairs:
                 _ = V == W
         assert closures == [] and containments == []
@@ -515,46 +514,23 @@ class TestCanonicalForm:
 
 
 class TestSubgroupSlots:
-    """[U, G] and U^p are kept on the subgroup object; G is one stored object per group."""
+    """A subgroup's slots are its key alone, so equal keys give equal results; Phi(G) is the
+    one derived subgroup a group keeps, in its `_phi` slot."""
 
     @pytest.mark.parametrize("which", ORACLE_GROUPS)
     def test_same_key_gives_equal_results(self, which):
         for g, V in oracle_subgroups(which):
-            first, second = fresh(V), fresh(V)
-            assert commutator_subgroup(first) is commutator_subgroup(first) is first.commutator
-            assert power_subgroup(first) is power_subgroup(first) is first.power
-            assert second.commutator is None and second.power is None
-            assert commutator_subgroup(second) == first.commutator == commutator_subgroup(V)
-            assert power_subgroup(second) == first.power == power_subgroup(V)
+            twin = SubgroupData(g, V.witness, V.fiber)
+            assert commutator_subgroup(twin) == commutator_subgroup(V)
+            assert power_subgroup(twin) == power_subgroup(V)
 
-    def test_key_ignores_the_slots(self):
-        for g, V in oracle_subgroups("dim-p"):
-            filled, empty = fresh(V), fresh(V)
-            filled.commutator, filled.power = full_subgroup(g), generated_subgroup(g, [])
-            assert filled == empty == V and hash(filled) == hash(empty) == hash(V)
-            assert len({filled, empty, V}) == 1
-
-    def test_full_subgroup_is_stored_once_per_group(self):
+    def test_frattini_is_stored_once_per_group(self):
         g = example42(PadicContext(5, 4))
-        G = full_subgroup(g)
-        assert full_subgroup(g) is G and g._full is G
+        phi = frattini_p(g)
+        assert frattini_p(g) is phi and g._phi is phi
         other = SemidirectGroup(g.ctx, g.action)
-        assert full_subgroup(other) is not G and full_subgroup(other).group is other
-
-    @pytest.mark.parametrize("which", ORACLE_GROUPS)
-    def test_slots_filled_under_the_oracle_routes_do_not_leak(self, which):
-        cases = oracle_cases(which)
-        with fixpoint_routes():
-            filled = [fresh(U) for _, U, _, _ in cases]
-            for V in filled:
-                commutator_subgroup(V)
-                power_subgroup(V)
-        for (g, U, comm, _), V in zip(cases, filled):
-            W = fresh(U)
-            assert W.commutator is None and W.power is None  # nothing carried over by the key
-            assert commutator_subgroup(W) == V.commutator == comm
-            assert power_subgroup(W) == V.power
-            assert V == U == W and hash(V) == hash(U) == hash(W)
+        assert frattini_p(other) is not phi and frattini_p(other).group is other
+        assert frattini_p(other) == SubgroupData(other, phi.witness, phi.fiber)
 
 
 class TestSubgroups:
@@ -686,22 +662,15 @@ class TestSaturabilityChecks:
 
     @pytest.mark.parametrize("p", (2, 3, 5, 7))
     def test_lower_p_series_matches_subgroup_route(self, p):
-        # each term and Phi(G) against the join of [U, G] and U^p on a new group object (no
-        # filled slot), by key and by hash; the own series' report against p - 1 commutator
-        # subgroups per step
+        # each term, Phi(G) among them, against the join of [U, G] and U^p, by key and by
+        # hash; the own series' report against p - 1 commutator subgroups per step
         first_failures, later_failures = set(), 0
         for g in group_pool(p):
             series = lower_p_series_group(g)
-            twin = SemidirectGroup(g.ctx, g.action)
-            reference = [SubgroupData(g, X.witness, X.fiber) for X in lower_p_series_by_subgroups(twin)]
+            reference = lower_p_series_by_subgroups(g)
             assert series == reference, g.action
             assert [hash(X) for X in series] == [hash(X) for X in reference]
             assert frattini_p(g) is series[1]
-            other = SemidirectGroup(g.ctx, g.action)
-            phi = frattini_p(other)  # before any series of its group
-            step = lower_p_step_by_subgroups(full_subgroup(SemidirectGroup(g.ctx, g.action)))
-            step = SubgroupData(other, step.witness, step.fiber)
-            assert phi == step and hash(phi) == hash(step)
             report = verify_group_potent_filtration(g, series)
             assert report == potency_report_by_subgroups(g, series), g.action
             first_failures.add(report.first_failure())
@@ -710,14 +679,32 @@ class TestSaturabilityChecks:
         # later steps too, where D_i with i >= 2 decides
         assert first_failures == {None, 1} and later_failures
 
+    def test_verdicts_match_the_lattice_of_E(self):
+        # L_E is the split lattice with fiber matrix E = M - I (not L(G): for M = exp(A), L(G)
+        # has fiber matrix A).  The group's own report equals L_E's step by step, with L_E on
+        # the bracket route through a plain Filtration copy, and gamma_p <= Phi(G)^p is L_E's
+        # sufficient condition
+        groups = [g for p in (3, 5, 7) for g in group_pool(p)]
+        for p in (5, 7):
+            groups += [m.group for exp_action in (False, True) for m in grid(PadicContext(p, 8), exp_action=exp_action)]
+        groups += [example42(PadicContext(5, 4)), example42(PadicContext(7, 6))]
+        passed, holds = set(), set()
+        for g in groups:
+            L_E = _split_pair(g.action - PMatrix.identity(g.ctx, g.fiber_dim), None)[0]
+            report = verify_group_potent_filtration(g, lower_p_series_group(g))
+            assert report == L_E.verify_potent_filtration(Filtration(list(L_E.lower_p_series().terms))), g.action
+            gamma = check_gamma_p_in_phi_p(g)
+            assert gamma.holds == L_E.saturable_sufficient(), g.action
+            passed.add(report.passed)
+            holds.add(gamma.holds)
+        assert passed == holds == {True, False}
+
     def test_only_the_own_series_skips_the_subgroup_route(self, monkeypatch):
         calls = {"commutator_subgroup": [], "join": [], "gamma_series": []}
-        powers = []  # power subgroups computed: calls that find the slot empty
-        for name, objects in calls.items():
+        powers = []  # the subgroups passed to power_subgroup
+        for name, objects in (*calls.items(), ("power_subgroup", powers)):
             original = getattr(propgroup, name)
             monkeypatch.setattr(propgroup, name, lambda *a, f=original, seen=objects: seen.append(a[0]) or f(*a))
-        power_subgroup = propgroup.power_subgroup
-        monkeypatch.setattr(propgroup, "power_subgroup", lambda U: U.power or powers.append(U) or power_subgroup(U))
 
         groups = oracle_groups("grid")[::3] + oracle_groups("dim-p") + group_pool(3)[::4]
         altered_kinds = set()
@@ -726,14 +713,15 @@ class TestSaturabilityChecks:
                 objects.clear()
             chain = lower_p_series_group(g)
             check_gamma_p_in_phi_p(g)
+            assert len(powers) == 1 and powers[0] is chain[1]  # Phi(G)^p, on the stored G_2
+            powers.clear()
             report = verify_group_potent_filtration(g, chain)
             assert all(objects == [] for objects in calls.values())
             assert frattini_p(g) is chain[1]
-            # at most one G_i^p per member, Phi(G)^p the stored power of G_2; with E^(p-1) = 0
-            # every D_i is zero, and Phi(G)^p is the only power built
+            # at most one G_i^p per member; with E^(p-1) = 0 every D_i is zero, and none is built
             assert len({id(U) for U in powers}) == len(powers) and {id(U) for U in powers} <= {id(U) for U in chain}
             if len(g._powers) < g.ctx.p:
-                assert powers == [chain[1]]
+                assert powers == []
             assert report == potency_report_by_subgroups(g, chain)
 
             # a user's chain, a copy, a reordered one, one truncated in the middle, one with a
@@ -747,7 +735,8 @@ class TestSaturabilityChecks:
                 del truncated[2]
                 altered.append(("truncated", truncated))
             swapped = lower_p_series_group(g)
-            swapped[-1] = fresh(swapped[-1])
+            U = swapped[-1]
+            swapped[-1] = SubgroupData(U.group, U.witness, U.fiber)
             altered.append(("swapped", swapped))
             altered.append(("other group", lower_p_series_group(SemidirectGroup(g.ctx, g.action))))
             for kind, other in altered:
