@@ -34,7 +34,7 @@ from .linalg import (
     _nilpotency_degree_mod_p,
     isolated_kernel,
     mat_exp,
-    solve_over_rows,
+    solve_each_over_rows,
     structural_profile,
 )
 from .padic import PadicContext, is_prime
@@ -360,7 +360,7 @@ class IsoCertificate:
 
 
 def _ideal_basis_and_complement(L: Lattice, w1, w2):
-    ctx = L.ctx
+    ctx = L.ctx  # a unit determinant mod p does not depend on the precision
     for j in range(3):
         ej = L.basis_vector(j)
         if PMatrix(ctx, [list(w1), list(w2), list(ej)]).det() % ctx.p:
@@ -368,93 +368,108 @@ def _ideal_basis_and_complement(L: Lattice, w1, w2):
     raise PrecisionExhausted("no unimodular complement to the ideal at precision")
 
 
-def _truncate_lattice(L: Lattice, precision: int) -> Lattice:
-    ctx = PadicContext(L.ctx.p, precision, L.ctx.rho)
-    return Lattice(ctx, L.constants, L.labels, validate=False)  # the constructor reduces them
-
-
-def _action_from_ideal_basis(L: Lattice, w1, w2) -> PMatrix:
-    if any(L.bracket(w1, w2)):
+def _action_from_ideal_basis(L: Lattice, ctx: PadicContext, w1, w2) -> PMatrix:
+    """The rows of [w1, x] and [w2, x] over (w1, w2) in `ctx`, both from one elimination."""
+    mod = ctx.modulus
+    if any(e % mod for e in L.bracket(w1, w2)):
         raise PrecisionExhausted("abelian ideal candidate has nonzero bracket at precision")
     x = _ideal_basis_and_complement(L, w1, w2)
-    rows = []
-    for w in (w1, w2):
-        coeffs = solve_over_rows([w1, w2], L.bracket(w, x), L.ctx, 3)
-        if coeffs is None:
-            raise PrecisionExhausted("ideal is not invariant at precision")
-        rows.append(coeffs)
-    return PMatrix(L.ctx, rows)
+    rows = solve_each_over_rows([w1, w2], [L.bracket(w1, x), L.bracket(w2, x)], ctx, 3)
+    if None in rows:
+        raise PrecisionExhausted("ideal is not invariant at precision")
+    return PMatrix(ctx, rows)
 
 
-def _at_precision(L: Lattice, vectors, precision: int):
-    """Lattice and vectors truncated to an honest determination precision."""
+def _at_precision(ctx: PadicContext, precision: int) -> PadicContext:
+    """The context of an honest determination precision p^k, k <= N."""
     if precision < 3:
         raise PrecisionExhausted("invariant not determined at this precision")
-    if precision == L.ctx.precision:
-        return L, [tuple(v) for v in vectors]
-    Lt = _truncate_lattice(L, precision)
-    mod = Lt.ctx.modulus
-    return Lt, [tuple(e % mod for e in v) for v in vectors]
+    if precision == ctx.precision:
+        return ctx
+    return PadicContext(ctx.p, precision, ctx.rho)
 
 
-def action_matrix_on_abelian_ideal(L: Lattice, derived: Span) -> PMatrix:
+def action_matrix_on_abelian_ideal(L: Lattice, profile) -> PMatrix:
     """The fiber action on the unique 2-dimensional abelian ideal.
 
-    `derived` is [L, L].  Its elementary-divisor generators are honest only
-    modulo p^(N - e), and a centraliser kernel only modulo the depth of the
-    bracket pairing, so each stage truncates to its determination precision
-    before proceeding; the matrix is returned in the truncated context and
-    descriptor comparisons degrade gracefully instead of comparing wobble
-    digits.
+    `profile` is the structural profile of [L, L], of rank 1 or 2, as
+    `_require_dim3_soluble` returns it.  At rank 2 the ideal is spanned by its
+    two generators; at rank 1 it is the centraliser of the derived line.  The
+    generators are honest only modulo p^(N - e), and a centraliser kernel only
+    modulo the depth of the bracket pairing, so each stage works in the
+    context of its determination precision p^k.  No truncated lattice is
+    built: the bracket is bilinear in integer structure constants, so a
+    bracket taken at p^N and reduced mod p^k (the eliminations reduce their
+    rows on entry) is the bracket of the lattice truncated to p^k.  The
+    matrix is returned in the truncated context, and descriptor comparisons
+    degrade gracefully instead of comparing wobble digits.
     """
     ctx = L.ctx
-    profile = derived.structural_profile()
     if len(profile) == 2:
-        e_max = max(e for e, _ in profile)
-        Lt, (w1, w2) = _at_precision(L, [profile[0][1], profile[1][1]], ctx.precision - e_max)
-        return _action_from_ideal_basis(Lt, w1, w2)
-    if len(profile) != 1:
-        raise PrecisionExhausted("derived span has no usable rank at precision")
+        (e1, w1), (e2, w2) = profile
+        return _action_from_ideal_basis(L, _at_precision(ctx, ctx.precision - max(e1, e2)), w1, w2)
     e1, line = profile[0]
-    L1, (w,) = _at_precision(L, [line], ctx.precision - e1)
-    pairing = [list(L1.bracket(L1.basis_vector(i), w)) for i in range(3)]
-    depth = max((e for e, _ in structural_profile(pairing, L1.ctx, 3)), default=0)
-    ideal = isolated_kernel(pairing, L1.ctx, 3)
+    ctx1 = _at_precision(ctx, ctx.precision - e1)
+    pairing = L.ad_matrix(line).entries  # row i: [b_i, line]
+    depth = max((e for e, _ in structural_profile(pairing, ctx1, 3)), default=0)
+    ideal = isolated_kernel(pairing, ctx1, 3)
     basis = [w0 for e, w0 in ideal.structural_profile() if e == 0]
     if len(basis) != 2:
         raise PrecisionExhausted("centraliser of the derived line is not 2-dimensional")
-    L2, (w1, w2) = _at_precision(L, basis, L1.ctx.precision - depth)
-    return _action_from_ideal_basis(L2, w1, w2)
+    return _action_from_ideal_basis(L, _at_precision(ctx, ctx1.precision - depth), *basis)
 
 
-def _require_dim3_soluble(L: Lattice) -> Span:
-    """Check that L is in the classification; returns its derived span [L, L]."""
+def _require_dim3_soluble(L: Lattice):
+    """Check that L is in the classification; returns [L, L] and its structural profile.
+
+    Solubility is read off the profile's length: in dimension 3, L is soluble
+    exactly when [L, L] has structural rank below 3.  The general route,
+    `Lattice.is_soluble`, asks whether the saturated derived series
+    S_0 = sat [L, L], S_(i+1) = sat [S_i, S_i] ends at 0.  The profile writes
+    [L, L] as the span of p^(e_i) w_i with each w_i primitive, with a unit at
+    its own pivot column where the later w_j vanish; so the w_i are
+    independent mod p, and S_0 is their span.
+    - Rank 3: S_0 = L, so S_1 = sat [L, L] = S_0.  The series stops at the
+      nonzero fixed point L, and L is not soluble.
+    - Rank r <= 2: S_0 is spanned by w_1 and w_2 (by fewer when r < 2).  The
+      bracket is bilinear and alternating, so [a w_1 + b w_2, c w_1 + d w_2]
+      = (ad - bc) [w_1, w_2] and [S_0, S_0] is the span of [w_1, w_2].  Its
+      saturation S_1 is a line or zero, [S_1, S_1] = 0, and the series ends
+      at 0: L is soluble.
+    A bracket with [u, u] != 0, from the diagonal constants 2^(N-1) that the
+    `lattice` module accepts at p = 2, is not alternating; there the two
+    readings can differ.
+    """
     if L.dim != 3:
         raise NotDim3(f"the dimension-3 invariant needs a 3-dimensional lattice, got {L.dim}")
     full = L.full_span()
     derived = L.bracket_span(full, full)
-    if not L.is_soluble(derived):
+    profile = derived.structural_profile()
+    if len(profile) == 3:
         raise NotSoluble("the dimension-3 invariant needs a lattice soluble at precision")
-    return derived
+    return derived, profile
 
 
-def _store_dim3_invariant(L: Lattice, derived: Span):
-    """Determine the invariant of a checked lattice from its derived span and keep it.
+def _store_dim3_invariant(L: Lattice, derived: Span, profile):
+    """Determine the invariant of a checked lattice from [L, L] and its profile and keep it.
 
     The branch follows the structure of the derived span: central means
     nilpotent type with the derived size as invariant; otherwise the class
     is the multiplicative-similarity descriptor of the action on the unique
-    2-dimensional abelian ideal.  A `PrecisionExhausted` leaves the slot
-    empty.
+    2-dimensional abelian ideal.  Centrality is read off the brackets: [L, [L, L]]
+    is zero exactly when every [r, b_j], for r a row of the derived span, is
+    zero mod p^N, so no span of them is built.  A `PrecisionExhausted` leaves
+    the slot empty.
     """
-    if derived.is_zero():
+    mod = L.ctx.modulus
+    if not profile:
         inv = ("abelian",)
-    elif L.bracket_span(L.full_span(), derived).is_zero():
-        if derived.structural_rank() != 1:
+    elif not any(e % mod for r in derived.rows for row in L._brackets_with_basis(r) for e in row):
+        if len(profile) != 1:
             raise PrecisionExhausted("central derived span of rank > 1 in dimension 3")
         inv = ("heisenberg", L.ctx.precision - derived.size_exp())
     else:
-        inv = ("action", classify(action_matrix_on_abelian_ideal(L, derived)))
+        inv = ("action", classify(action_matrix_on_abelian_ideal(L, profile)))
     L.dim3_invariant = inv
     return inv
 
@@ -463,12 +478,16 @@ def dim3_invariant(L: Lattice):
     """('abelian',) | ('heisenberg', s) | ('action', descriptor), once per lattice.
 
     Raises NotDim3 or NotSoluble for a lattice outside the classification.
+    Everything is read off [L, L] and its structural profile, built once:
+    solubility is the structural rank being below 3, centrality is
+    [r, b_j] = 0 for the derived rows r, and each determination precision
+    is a truncated context, with no truncated copy of the lattice.
     Two lattices over the same prime are isomorphic at precision exactly when
     their invariants have the same branch and equal values, descriptors
     compared with `descriptors_equal`.
     """
     if L.dim3_invariant is None:
-        _store_dim3_invariant(L, _require_dim3_soluble(L))
+        _store_dim3_invariant(L, *_require_dim3_soluble(L))
     return L.dim3_invariant
 
 
@@ -485,8 +504,8 @@ def iso_test_3dim(L1: Lattice, L2: Lattice) -> IsoCertificate:
     ]
     if L1.ctx.p != L2.ctx.p:
         raise ContextMismatch(f"lattices over different primes: {L1.ctx.p} and {L2.ctx.p}")
-    for L, derived in pending:
-        _store_dim3_invariant(L, derived)
+    for L, checked in pending:
+        _store_dim3_invariant(L, *checked)
     inv1, inv2 = L1.dim3_invariant, L2.dim3_invariant
     if inv1[0] != inv2[0]:
         return IsoCertificate(False, f"{inv1[0]}/{inv2[0]}", inv1, inv2)

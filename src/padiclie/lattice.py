@@ -210,16 +210,21 @@ class Lattice:
         """D_1 = L, D_{i+1} = [D_i, D_i], to stabilisation."""
         return self._series(lambda S: self.bracket_span(S, S))
 
-    def is_soluble(self, derived: Span | None = None) -> bool:
+    def is_soluble(self) -> bool:
         """Terminal vanishing of the isolated derived series.
 
         The plain series cannot tell an insoluble lattice from a soluble one
         once every step picks up p-powers (the terms drop below precision);
         saturating each step makes a perfect derived span stabilise nonzero
-        instead.  `derived` is [L, L], for a caller that has built it already.
+        instead.  Saturating can leave the previous term, so this series is
+        not always nested at precision, in dimension 3 too (CHANGES.md).  The
+        dimension-3 invariant does not run it: it reads solubility off the
+        structural rank of [L, L] (`catalog._require_dim3_soluble`, which also
+        proves that in dimension 3 this series ends by its fourth term, nested
+        or not), so the non-nested chain cannot arise on that path.  For
+        d >= 4 the budget's proof (`fixpoint`) does not cover such a chain.
         """
-        start = self.full_span() if derived is None else derived.saturate()
-        terms = self._series(lambda S: self.bracket_span(S, S).saturate(), start)
+        terms = self._series(lambda S: self.bracket_span(S, S).saturate())
         return terms[-1].is_zero()
 
     def nilpotency_class(self) -> int | None:

@@ -492,25 +492,32 @@ def left_kernel(rows, ctx, dim) -> list[Vector]:
 
 def solve_over_rows(rows, target, ctx, dim):
     """Coefficients c with sum_i c_i rows_i = target mod p^N, or None."""
+    return solve_each_over_rows(rows, [target], ctx, dim)[0]
+
+
+def solve_each_over_rows(rows, targets, ctx, dim):
+    """`solve_over_rows` for each target in turn, from one elimination of the rows."""
     n = len(rows)
     mod = ctx.modulus
     p = ctx.p
-    w = [e % mod for e in target]
-    coeff = [0] * n
-    for col, row in _augmented(rows, ctx, dim)[0]:
-        piv = p ** ctx.val(row[col])
-        a = w[col]
-        if a % piv:
-            return None
-        q = a // piv
-        if q:
-            for k in range(dim):
-                w[k] = (w[k] - q * row[k]) % mod
-            for k in range(n):
-                coeff[k] = (coeff[k] + q * row[dim + k]) % mod
-    if any(w):
-        return None
-    return coeff
+    pivots = [(col, row, p ** ctx.val(row[col])) for col, row in _augmented(rows, ctx, dim)[0]]
+
+    def solve(target):
+        w = [e % mod for e in target]
+        coeff = [0] * n
+        for col, row, piv in pivots:
+            a = w[col]
+            if a % piv:
+                return None
+            q = a // piv
+            if q:
+                for k in range(dim):
+                    w[k] = (w[k] - q * row[k]) % mod
+                for k in range(n):
+                    coeff[k] = (coeff[k] + q * row[dim + k]) % mod
+        return None if any(w) else coeff
+
+    return [solve(t) for t in targets]
 
 
 def isolated_kernel(rows, ctx, dim) -> Span:

@@ -18,8 +18,12 @@ Route: what it does -> the library code it is independent of.
 - `lower_p_series_by_brackets`: N_(i+1) = p N_i + [N_i, L], bracketing each
   term -> `lower_p_series`'s p N_i + gamma_(i+1) from the stored series.
 - `explicit_fiber_matrix`: G1-G5 entry by entry -> `canonical_matrix`.
-- `uncached_invariant`, `uncached_verdict`: the dimension-3 invariant from
-  eliminated spans -> the stored slot and the `Lattice` helpers.
+- `uncached_invariant`, `uncached_verdict`: the dimension-3 invariant with
+  solubility from the saturated derived series (`Lattice.is_soluble`),
+  centrality from an eliminated span, a truncated `Lattice` copy per
+  determination precision and one `solve_over_rows` per action row -> the
+  stored slot, solubility read off the rank of [L, L], centrality from the
+  brackets, truncation as a context and the action from one elimination.
 - `PlainLaw`: (a1 + a2, v1 M^a2 + v2) with M^a2 by square-and-multiply on
   lists -> the cached increments M^a - I.
 - `index_exp_in_group`: log_p |G : U| from the fiber's index -> `propgroup`.
@@ -34,8 +38,8 @@ Route: what it does -> the library code it is independent of.
   span membership.
 
 Fixtures: `abelian`, `heisenberg`, `filiform`, `random_nilpotent_mod_p`,
-`random_split_lattice`, `random_unimodular`, the Theorem-7.3 `grid`, and
-`random_element` of a split group.
+`random_split_lattice`, `split_lattice`, `random_unimodular`, the
+Theorem-7.3 `grid`, and `random_element` of a split group.
 """
 
 from contextlib import contextmanager
@@ -46,14 +50,14 @@ from typing import NamedTuple
 
 import pytest
 
-from padiclie import Lattice, PMatrix, Span, propgroup
+from padiclie import Lattice, PadicContext, PMatrix, Span, propgroup
 from padiclie.bch import _accumulate, _pair_compositions, evaluate_words, hausdorff_table, poly_add, poly_mul
 from padiclie.bch import poly_scale, reduce_to_basis, word_to_assoc
-from padiclie.catalog import action_matrix_on_abelian_ideal, make_thm73, thm73_fiber_matrix, thm73_grid
+from padiclie.catalog import make_thm73, thm73_fiber_matrix, thm73_grid
 from padiclie.classifier import _conj_moves, _orbit_from, classify, descriptors_equal
-from padiclie.errors import BadParameter, ContextMismatch, NotAUnit
+from padiclie.errors import BadParameter, ContextMismatch, NotAUnit, NotDim3, NotSoluble, PrecisionExhausted
 from padiclie.lattice import PotencyReport, PotencyStep
-from padiclie.linalg import vec_add, vec_scale
+from padiclie.linalg import isolated_kernel, solve_over_rows, structural_profile, vec_add, vec_scale
 from padiclie.propgroup import GroupElement, SemidirectGroup, generated_subgroup
 
 
@@ -84,7 +88,13 @@ def random_split_lattice(ctx, n, rng, unit=False):
     `unit`, A also gets 1 at its last diagonal entry, and the series stops at a nonzero term."""
     A = random_nilpotent_mod_p(ctx, n, rng)
     A[-1][-1] += int(unit)
-    return Lattice.from_brackets(ctx, n + 1, [(0, 1 + i, [0] + [-a for a in row]) for i, row in enumerate(A)])
+    return split_lattice(ctx, A)
+
+
+def split_lattice(ctx, A):
+    """Z_p x| Z_p^n with [y_i, x] = sum_j A_ij y_j for the n lists of A, as `catalog` builds it
+    without the group."""
+    return Lattice.from_brackets(ctx, len(A) + 1, [(0, 1 + i, [0] + [-a for a in row]) for i, row in enumerate(A)])
 
 
 def random_unimodular(ctx, n, rng):
@@ -383,17 +393,68 @@ def explicit_fiber_matrix(ctx, family, params):
     raise BadParameter(f"unknown family {family}")
 
 
+def _truncated(L, precision, vectors):
+    """A copy of L at p^k with the vectors reduced into it, or PrecisionExhausted below p^3."""
+    if precision < 3:
+        raise PrecisionExhausted("invariant not determined at this precision")
+    if precision == L.ctx.precision:
+        return L, [tuple(v) for v in vectors]
+    ctx = PadicContext(L.ctx.p, precision, L.ctx.rho)
+    return Lattice(ctx, L.constants, L.labels, validate=False), [tuple(e % ctx.modulus for e in v) for v in vectors]
+
+
+def _action_on_ideal(L, w1, w2):
+    """The action on (w1, w2) by one `solve_over_rows` per row, in L's own context."""
+    ctx = L.ctx
+    if any(L.bracket(w1, w2)):
+        raise PrecisionExhausted("abelian ideal candidate has nonzero bracket at precision")
+    units = [e for e in map(L.basis_vector, range(3)) if PMatrix(ctx, [list(w1), list(w2), list(e)]).det() % ctx.p]
+    if not units:
+        raise PrecisionExhausted("no unimodular complement to the ideal at precision")
+    rows = []
+    for w in (w1, w2):
+        coeffs = solve_over_rows([w1, w2], L.bracket(w, units[0]), ctx, 3)
+        if coeffs is None:
+            raise PrecisionExhausted("ideal is not invariant at precision")
+        rows.append(coeffs)
+    return PMatrix(ctx, rows)
+
+
 def uncached_invariant(L):
-    """The invariant by the path without a stored slot: eliminated spans, no Lattice helpers."""
+    """The invariant without a stored slot, or the exception the library raises.
+
+    Solubility by the saturated derived series, centrality and the derived span by eliminating
+    bracketed generators, and each determination precision by a truncated `Lattice` copy.
+    """
+    if L.dim != 3:
+        raise NotDim3(f"the dimension-3 invariant needs a 3-dimensional lattice, got {L.dim}")
+    if not L.is_soluble():
+        raise NotSoluble("the dimension-3 invariant needs a lattice soluble at precision")
     ctx = L.ctx
     full = Span(ctx, 3, [[int(i == j) for j in range(3)] for i in range(3)])
     derived = Span(ctx, 3, [L.bracket(u, v) for u in full.rows for v in full.rows])
     if derived.is_zero():
         return ("abelian",)
     if Span(ctx, 3, [L.bracket(u, v) for u in full.rows for v in derived.rows]).is_zero():
-        assert derived.structural_rank() == 1
+        if derived.structural_rank() != 1:
+            raise PrecisionExhausted("central derived span of rank > 1 in dimension 3")
         return ("heisenberg", ctx.precision - derived.size_exp())
-    return ("action", classify(action_matrix_on_abelian_ideal(L, derived)))
+    profile = derived.structural_profile()
+    if len(profile) == 2:
+        e_max = max(e for e, _ in profile)
+        Lt, (w1, w2) = _truncated(L, ctx.precision - e_max, [w for _, w in profile])
+        return ("action", classify(_action_on_ideal(Lt, w1, w2)))
+    if len(profile) != 1:
+        raise PrecisionExhausted("derived span has no usable rank at precision")
+    e1, line = profile[0]
+    L1, (w,) = _truncated(L, ctx.precision - e1, [line])
+    pairing = [list(L1.bracket(L1.basis_vector(i), w)) for i in range(3)]
+    depth = max((e for e, _ in structural_profile(pairing, L1.ctx, 3)), default=0)
+    basis = [w0 for e, w0 in isolated_kernel(pairing, L1.ctx, 3).structural_profile() if e == 0]
+    if len(basis) != 2:
+        raise PrecisionExhausted("centraliser of the derived line is not 2-dimensional")
+    L2, (w1, w2) = _truncated(L, L1.ctx.precision - depth, basis)
+    return ("action", classify(_action_on_ideal(L2, w1, w2)))
 
 
 def uncached_verdict(inv1, inv2, p):

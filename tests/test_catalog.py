@@ -24,6 +24,7 @@ from padiclie.claims import _levi_defect, _levi_defect_system, random_invertible
 from padiclie.classifier import classify, descriptors_equal
 from padiclie.errors import (
     BadParameter,
+    PadicLieError,
     ContextMismatch,
     NotDim3,
     NotSoluble,
@@ -32,7 +33,16 @@ from padiclie.errors import (
 )
 from padiclie.lattice import Lattice
 
-from oracles import explicit_fiber_matrix, grid, levi_defect_scan, uncached_invariant, uncached_verdict
+from oracles import (
+    abelian,
+    explicit_fiber_matrix,
+    grid,
+    levi_defect_scan,
+    random_unimodular,
+    split_lattice,
+    uncached_invariant,
+    uncached_verdict,
+)
 
 
 def outcome(build):
@@ -369,18 +379,19 @@ class TestStoredInvariant:
 
     def test_pairwise_runs_each_lattice_once(self, monkeypatch):
         counts = {"invariant": 0, "soluble": 0}
-        store, soluble = catalog._store_dim3_invariant, Lattice.is_soluble
+        store, check = catalog._store_dim3_invariant, catalog._require_dim3_soluble
 
         def counted_store(L, *args):
             counts["invariant"] += 1
             return store(L, *args)
 
-        def counted_soluble(self, *args):
+        def counted_check(L):
             counts["soluble"] += 1
-            return soluble(self, *args)
+            return check(L)
 
         monkeypatch.setattr(catalog, "_store_dim3_invariant", counted_store)
-        monkeypatch.setattr(Lattice, "is_soluble", counted_soluble)
+        monkeypatch.setattr(catalog, "_require_dim3_soluble", counted_check)
+        monkeypatch.setattr(Lattice, "is_soluble", None)  # the saturated derived series is not run
         lattices = [lat for _, lat in _grid_versions(5, random.Random(7))[:40]]
         for i, a in enumerate(lattices):
             for b in lattices[i + 1:]:
@@ -431,6 +442,60 @@ class TestStoredInvariant:
         assert copy.dim3_invariant is None
         assert iso_test_3dim(lat, copy).isomorphic
         assert descriptors_equal(copy.dim3_invariant[1], inv[1], 5)
+
+
+def _random_split_pair(ctx, rng):
+    """A split pair whose four fiber entries are units times p^v, v uniform in 0..N-1."""
+    p, N = ctx.p, ctx.precision
+    entries = [(rng.randrange(1, p) + p * rng.randrange(p ** (N - 1))) * p ** rng.randrange(N) for _ in range(4)]
+    return split_lattice(ctx, [entries[:2], entries[2:]])
+
+
+def _reference_pool():
+    """Seeded lattices for the reference route, at p in {3, 5, 7, 11} and N in {3, 4, 6, 9, 12}.
+
+    The grid members with s in {0, 1, 2}, r in {0, 1} and d in {0, rho} (d = 0 gives the
+    derived lines, rho a non-square unit), the insoluble fixtures (p >= 5) and four random
+    split pairs whose entries have valuation 0 to N - 1, each under two random unimodular
+    basis changes; as built, the split pair of diag(p^(N-1), 1), whose derived span has a
+    central first row and a second row that is not; and one 4-dimensional lattice.  The
+    default grid ranges would triple the time.
+    """
+    rng = random.Random(4900)
+    pool = []
+    for p in (3, 5, 7, 11):
+        for N in (3, 4, 6, 9, 12):
+            ctx = PadicContext(p, N)
+            grid_members = thm73_grid(ctx, (0, 1, 2), (0, 1), (0, ctx.rho))
+            members = [split_lattice(ctx, thm73_fiber_matrix(ctx, fam, params).entries) for _, fam, params in grid_members]
+            if p >= 5:
+                members += [make_insoluble(ctx, "sl2tri"), make_insoluble(ctx, "sl1delta")]
+            members += [_random_split_pair(ctx, rng) for _ in range(4)]
+            pool += [L.change_basis(random_unimodular(ctx, 3, rng)) for L in members for _ in range(2)]
+            pool += [split_lattice(ctx, [[p ** (N - 1), 0], [0, 1]]), abelian(ctx, 4)]
+    return pool
+
+
+def _outcome(route, L):
+    try:
+        return route(L)
+    except PadicLieError as exc:
+        return type(exc), str(exc)
+
+
+class TestReferenceRoute:
+    def test_invariant_matches_reference_route(self):
+        pool = _reference_pool()
+        got = [_outcome(dim3_invariant, L) for L in pool]
+        assert got == [_outcome(uncached_invariant, L) for L in pool]
+        kinds = {out[0] for out in got}
+        assert {"abelian", "heisenberg", "action", NotDim3, NotSoluble, PrecisionExhausted} <= kinds
+
+    def test_solubility_is_the_rank_of_the_derived_span(self):
+        for L in _reference_pool():
+            if L.dim == 3:
+                full = L.full_span()
+                assert L.is_soluble() == (L.bracket_span(full, full).structural_rank() < 3)
 
 
 def test_manifest_names_unique():

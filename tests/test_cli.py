@@ -201,6 +201,19 @@ class TestConstructAndUse:
         assert "different primes" in err
 
     @pytest.mark.parametrize(
+        "construct, message",
+        [
+            (("sl2tri", "--p", "5"), "error: the dimension-3 invariant needs a lattice soluble at precision"),
+            (("2dim", "--s", "1", "--p", "5"), "error: the dimension-3 invariant needs a 3-dimensional lattice, got 2"),
+            (("G1", "--s", "1", "--p", "5", "--N", "3"), "precision error: invariant not determined at this precision"),
+        ],
+    )
+    def test_iso_outside_the_classification_is_bad_input(self, capsys, tmp_path, construct, message):
+        dst = tmp_path / "lattice.json"
+        assert run(capsys, "construct", *construct, "-o", str(dst))[0] == 0
+        assert run(capsys, "iso", str(dst), str(dst)) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize(
         "bracket",
         [
             {"i": 0, "j": 3, "c": [0, 0, 1]},
